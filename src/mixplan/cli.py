@@ -4,15 +4,21 @@ verify-lemmas, gen-standin, ingest-ltr, histogram."""
 from __future__ import annotations
 
 import argparse
-import base64
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from .artifact import read_artifact, scalar, write_artifact
 from .concentration import verify_lemmas
-from .core import ConfigurationError, ExperimentConfig
+from .core import (
+    ConfigurationError,
+    ContractViolation,
+    DataError,
+    ExperimentConfig,
+    ParseError,
+)
 from .covariance import RegularizedCovariance
 from .environments import (
     RankDatasetSpec,
@@ -95,35 +101,42 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+ESTIMATE_FORMAT = "ridge-estimate"
+ESTIMATE_VERSION = 2
+
+
 def _cmd_fit(args) -> int:
     dataset = dataset_from_csv(args.dataset)
     estimate = ridge_fit(dataset, args.lambda_reg)
-    payload = {
-        "d": estimate.d,
-        "lambda_reg": args.lambda_reg,
-        "n_samples": estimate.n_samples,
-        "theta_hat": [float(v) for v in estimate.theta_hat],
-        "sigma_prime_b64": base64.b64encode(
-            np.ascontiguousarray(estimate.sigma_prime_n.matrix).tobytes()
-        ).decode("ascii"),
-    }
-    Path(args.out).write_text(json.dumps(payload))
+    write_artifact(
+        args.out, ESTIMATE_FORMAT, ESTIMATE_VERSION,
+        theta_hat=np.asarray(estimate.theta_hat, dtype="<f8"),
+        sigma=np.asarray(estimate.sigma_prime_n.matrix, dtype="<f8"),
+        lambda_reg=np.array(args.lambda_reg, dtype="<f8"),
+        n_samples=np.array(estimate.n_samples, dtype="<i8"),
+    )
     print(f"fit theta_hat on {estimate.n_samples} records -> {args.out}")
     return 0
 
 
 def _load_estimate(path) -> RidgeEstimate:
-    payload = json.loads(Path(path).read_text())
-    d = int(payload["d"])
-    matrix = np.frombuffer(
-        base64.b64decode(payload["sigma_prime_b64"]), dtype=np.float64
-    ).reshape(d, d)
-    cov = RegularizedCovariance.from_state(matrix, payload["lambda_reg"], alpha=1.0)
-    return RidgeEstimate(
-        theta_hat=np.array(payload["theta_hat"]),
-        sigma_prime_n=cov,
-        n_samples=int(payload["n_samples"]),
+    payload = read_artifact(
+        path, ESTIMATE_FORMAT, ESTIMATE_VERSION,
+        ("theta_hat", "sigma", "lambda_reg", "n_samples"),
+        remedy="re-run `mixplan fit` to write a current estimate",
     )
+    theta_hat = payload["theta_hat"]
+    sigma = payload["sigma"]
+    d = theta_hat.shape[0] if theta_hat.ndim == 1 else -1
+    if sigma.shape != (d, d) or not (np.isfinite(theta_hat).all() and np.isfinite(sigma).all()):
+        raise ConfigurationError(
+            f"{path}: theta_hat {theta_hat.shape} and sigma {sigma.shape} must be finite, "
+            "of shapes (d,) and (d, d)"
+        )
+    n_samples = scalar(payload, "n_samples", int)
+    cov = RegularizedCovariance.from_state(sigma, scalar(payload, "lambda_reg", float),
+                                           alpha=1.0, update_count=n_samples)
+    return RidgeEstimate(theta_hat=theta_hat, sigma_prime_n=cov, n_samples=n_samples)
 
 
 def _cmd_eval(args) -> int:
@@ -319,7 +332,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, FileNotFoundError) as exc:
+    except (ConfigurationError, ContractViolation, DataError, ParseError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

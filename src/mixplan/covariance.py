@@ -44,34 +44,37 @@ def _check_rows(rows: np.ndarray, d: int) -> np.ndarray:
 class CovarianceSnapshot:
     """Immutable covariance state frozen at a switch point.
 
-    Snapshots taken later dominate earlier ones in the PSD order, because
-    the underlying matrix only ever gains positive semi-definite rank-one
-    terms. Consequently inverse-metric norms can only shrink from one
-    snapshot to the next.
+    A snapshot keeps only what its readers use: the read-only lower
+    Cholesky factor L (the matrix is L L^T), the log-determinant and its
+    index. Snapshots taken later dominate earlier ones in the PSD order,
+    because the underlying matrix only ever gains positive semi-definite
+    rank-one terms. Consequently inverse-metric norms can only shrink from
+    one snapshot to the next.
     """
 
-    __slots__ = ("matrix", "log_det", "snapshot_index", "_chol")
+    __slots__ = ("_chol", "log_det", "snapshot_index")
 
-    def __init__(self, matrix: np.ndarray, chol: np.ndarray, log_det: float, snapshot_index: int):
-        matrix = np.array(matrix, dtype=np.float64)
-        matrix.setflags(write=False)
+    def __init__(self, chol: np.ndarray, log_det: float, snapshot_index: int):
         chol = np.array(chol, dtype=np.float64)
         chol.setflags(write=False)
-        self.matrix = matrix
         self._chol = chol
         self.log_det = float(log_det)
         self.snapshot_index = int(snapshot_index)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, snapshot_index: int = 0) -> "CovarianceSnapshot":
-        matrix = np.asarray(matrix, dtype=np.float64)
-        chol = np.linalg.cholesky(matrix)
+        chol = np.linalg.cholesky(np.asarray(matrix, dtype=np.float64))
         log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        return cls(matrix, chol, log_det, snapshot_index)
+        return cls(chol, log_det, snapshot_index)
+
+    @property
+    def factor(self) -> np.ndarray:
+        """Read-only lower Cholesky factor of the frozen matrix."""
+        return self._chol
 
     @property
     def d(self) -> int:
-        return self.matrix.shape[0]
+        return self._chol.shape[0]
 
     def mahalanobis(self, x: np.ndarray) -> float:
         """sqrt(x^T Sigma^{-1} x) via a triangular solve against the frozen factor."""
@@ -100,7 +103,7 @@ class RegularizedCovariance:
                  norm_cap: float | None = 1.0):
         if d < 1:
             raise ConfigurationError("dimension must be at least 1")
-        if lambda_reg <= 0:
+        if not lambda_reg > 0:
             raise ConfigurationError("lambda_reg must be positive")
         if not 0.0 < alpha <= 1.0:
             raise ConfigurationError("alpha must lie in (0, 1]")
@@ -152,9 +155,9 @@ class RegularizedCovariance:
         if phi.shape != (self.d,):
             raise ContractViolation(f"expected vector of length {self.d}, got shape {phi.shape}")
         self._gate(phi)
-        self.matrix = self.matrix + self.alpha * np.outer(phi, phi)
-        # Rank-one terms are exactly symmetric, but keep drift bounded anyway.
-        self.matrix = (self.matrix + self.matrix.T) * 0.5
+        # alpha * phi_i * phi_j is bit-for-bit symmetric, so the in-place
+        # sum stays exactly symmetric without a symmetrizing copy.
+        self.matrix += self.alpha * np.outer(phi, phi)
         self.update_count += 1
         self._dirty = True
         return self
@@ -196,8 +199,7 @@ class RegularizedCovariance:
 
     def snapshot(self) -> CovarianceSnapshot:
         """Freeze the current state. Later snapshots PSD-dominate earlier ones."""
-        snap = CovarianceSnapshot(self.matrix, self.factor(), self.log_det(),
-                                  self._snapshots_taken)
+        snap = CovarianceSnapshot(self.factor(), self.log_det(), self._snapshots_taken)
         self._snapshots_taken += 1
         return snap
 

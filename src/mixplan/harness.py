@@ -440,8 +440,14 @@ def run_experiment(config: RunConfig) -> RunResult:
 
 
 def _materialize_standin(config: RunConfig) -> RunConfig:
-    """Generate the stand-in ranking file once, then run as a rank dataset."""
-    path = Path(config.data_path or f"runs/standin-seed{config.seed}.txt")
+    """Generate the stand-in ranking file once, then run as a rank dataset.
+
+    The default file name carries every generator parameter, so a cached
+    file is only reused by runs that would generate the same one.
+    """
+    path = Path(config.data_path or (
+        f"runs/standin-seed{config.seed}-q{config.standin_queries}"
+        f"-raw{config.rank_raw_dim}.txt"))
     if not path.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
         generate_standin_file(

@@ -5,8 +5,17 @@ acts greedily with respect to the inverse-covariance norm measured against
 the most recent covariance snapshot, adds the chosen feature to the
 covariance (scaled by alpha), and re-snapshots whenever the determinant has
 more than doubled since the last snapshot. The result is a mixture policy:
-a uniform mixture over the per-step policies, stored compactly as the K
+a uniform mixture over the per-step policies, held in memory as the K
 distinct snapshots plus the step at which each phase begins.
+
+Snapshot k is exactly lambda_reg * I + alpha * sum_{m < start_k} phi_m phi_m^T,
+so the whole policy is fixed by the M chosen features, the phase starts,
+lambda_reg and alpha. That is what the policy artifact stores: a version-2
+``.npz`` (see ``mixplan.artifact``) with ``features`` (M x d, ``<f8``),
+``phase_starts`` (``<i8``), ``M``, ``lambda_reg`` and ``alpha``.
+``MixturePolicy.load`` replays the features through the same covariance
+updates and snapshots that ``plan`` made, so the rebuilt factors and
+log-determinants are bit-identical to the planner's.
 
 Nothing in this module can observe a reward. ``plan`` receives contexts and
 a configuration only; non-reactivity is structural, not a convention.
@@ -23,23 +32,21 @@ in that regime (the planner itself still runs fine).
 
 from __future__ import annotations
 
-import base64
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .artifact import read_artifact, scalar, write_artifact
 from .core import ConfigurationError, Context, ContractViolation, ExperimentConfig
 from .covariance import CovarianceSnapshot, RegularizedCovariance
 
 _LOG2 = math.log(2.0)
 
 ARTIFACT_FORMAT = "mixture-policy"
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -63,13 +70,52 @@ class UncertaintyTrace:
         return len(self.values)
 
 
-@dataclass(frozen=True)
+def _check_phase_starts(phase_starts, M: int) -> tuple:
+    starts = tuple(int(v) for v in phase_starts)
+    if not starts:
+        raise ConfigurationError("phase_starts must be nonempty")
+    if starts[0] != 1:
+        raise ConfigurationError("first phase must start at step 1")
+    if any(b <= a for a, b in zip(starts, starts[1:])):
+        raise ConfigurationError("phase_starts must be strictly increasing")
+    if starts[-1] > M:
+        raise ConfigurationError("phase start beyond the final step")
+    return starts
+
+
+def _check_features(features, M: int, d: int) -> np.ndarray:
+    features = np.array(features, dtype=np.float64)
+    if features.shape != (M, d):
+        raise ConfigurationError(f"features have shape {features.shape}, expected ({M}, {d})")
+    if not np.isfinite(features).all():
+        raise ConfigurationError("features must be finite")
+    features.setflags(write=False)
+    return features
+
+
+def _replay_snapshots(features: np.ndarray, phase_starts: Sequence[int], lambda_reg: float,
+                      alpha: float) -> list[CovarianceSnapshot]:
+    """The snapshots ``plan`` took: the same updates and snapshots, in its order."""
+    cov = RegularizedCovariance(features.shape[1], lambda_reg, alpha, norm_cap=None)
+    snapshots = []
+    step = 1
+    for start in phase_starts:
+        for phi in features[step - 1:start - 1]:
+            cov.rank_one_update(phi)
+        step = start
+        snapshots.append(cov.snapshot())
+    return snapshots
+
+
+@dataclass(frozen=True, eq=False)
 class MixturePolicy:
     """Uniform mixture over a planner run's per-step policies.
 
-    Only the K distinct snapshot policies are stored; drawing a step index
+    Only the K distinct snapshot policies are kept; drawing a step index
     m uniformly from [1, M] and mapping it to its phase reproduces the full
-    mixture. Immutable and freely shareable across threads.
+    mixture. ``features`` (read-only, M x d) are the planner's chosen
+    features, from which ``save``/``load`` rebuild the snapshots. Immutable
+    and freely shareable across threads.
     """
 
     snapshots: Sequence[CovarianceSnapshot]
@@ -78,19 +124,15 @@ class MixturePolicy:
     d: int
     lambda_reg: float
     alpha: float
+    features: np.ndarray
 
     def __post_init__(self):
-        starts = list(self.phase_starts)
-        if len(starts) != len(self.snapshots) or not starts:
-            raise ConfigurationError("phase_starts and snapshots must align and be nonempty")
-        if starts[0] != 1:
-            raise ConfigurationError("first phase must start at step 1")
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ConfigurationError("phase_starts must be strictly increasing")
-        if starts[-1] > self.M:
-            raise ConfigurationError("phase start beyond the final step")
-        object.__setattr__(self, "phase_starts", tuple(starts))
+        starts = _check_phase_starts(self.phase_starts, self.M)
+        if len(starts) != len(self.snapshots):
+            raise ConfigurationError("phase_starts and snapshots must align")
+        object.__setattr__(self, "phase_starts", starts)
         object.__setattr__(self, "snapshots", tuple(self.snapshots))
+        object.__setattr__(self, "features", _check_features(self.features, self.M, self.d))
 
     @property
     def snapshot_count(self) -> int:
@@ -114,47 +156,52 @@ class MixturePolicy:
         phase = bisect_right(self.phase_starts, m) - 1
         return self.snapshot_action(phase, context)
 
-    def to_artifact_dict(self) -> dict:
-        return {
-            "format": ARTIFACT_FORMAT,
-            "version": ARTIFACT_VERSION,
-            "d": self.d,
-            "lambda_reg": self.lambda_reg,
-            "alpha": self.alpha,
-            "M": self.M,
-            "phase_starts": list(self.phase_starts),
-            "snapshots": [
-                base64.b64encode(np.ascontiguousarray(s.matrix).tobytes()).decode("ascii")
-                for s in self.snapshots
-            ],
-        }
-
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_artifact_dict()))
-
-    @classmethod
-    def from_artifact_dict(cls, payload: dict) -> "MixturePolicy":
-        if payload.get("format") != ARTIFACT_FORMAT:
-            raise ConfigurationError("not a mixture-policy artifact")
-        if payload.get("version") != ARTIFACT_VERSION:
-            raise ConfigurationError(f"unsupported artifact version {payload.get('version')}")
-        d = int(payload["d"])
-        snapshots = []
-        for index, blob in enumerate(payload["snapshots"]):
-            raw = np.frombuffer(base64.b64decode(blob), dtype=np.float64).reshape(d, d)
-            snapshots.append(CovarianceSnapshot.from_matrix(raw, snapshot_index=index))
-        return cls(
-            snapshots=snapshots,
-            phase_starts=[int(v) for v in payload["phase_starts"]],
-            M=int(payload["M"]),
-            d=d,
-            lambda_reg=float(payload["lambda_reg"]),
-            alpha=float(payload["alpha"]),
+        """Write the version-2 ``.npz`` artifact to exactly ``path``."""
+        write_artifact(
+            path, ARTIFACT_FORMAT, ARTIFACT_VERSION,
+            features=np.asarray(self.features, dtype="<f8"),
+            phase_starts=np.asarray(self.phase_starts, dtype="<i8"),
+            M=np.array(self.M, dtype="<i8"),
+            lambda_reg=np.array(self.lambda_reg, dtype="<f8"),
+            alpha=np.array(self.alpha, dtype="<f8"),
         )
 
     @classmethod
     def load(cls, path) -> "MixturePolicy":
-        return cls.from_artifact_dict(json.loads(Path(path).read_text()))
+        """Read a version-2 artifact and rebuild its snapshots by replay.
+
+        Raises ConfigurationError for anything that is not such an artifact:
+        an unreadable or truncated file, a missing key, another format or
+        version, a JSON artifact of an older release, or features that are
+        not a finite (M, d) array.
+        """
+        payload = read_artifact(
+            path, ARTIFACT_FORMAT, ARTIFACT_VERSION,
+            ("features", "phase_starts", "M", "lambda_reg", "alpha"),
+            remedy="re-run `mixplan plan` to write a current policy",
+        )
+        M = scalar(payload, "M", int)
+        lambda_reg = scalar(payload, "lambda_reg", float)
+        alpha = scalar(payload, "alpha", float)
+        starts = payload["phase_starts"]
+        if starts.ndim != 1 or starts.dtype.kind not in "iu":
+            raise ConfigurationError("phase_starts must be a 1-d integer array")
+        starts = _check_phase_starts(starts, M)
+        raw = payload["features"]
+        if raw.ndim != 2 or raw.dtype.kind != "f":
+            raise ConfigurationError(f"features must be a 2-d float array, got {raw.shape}")
+        d = raw.shape[1]
+        features = _check_features(raw, M, d)
+        return cls(
+            snapshots=_replay_snapshots(features, starts, lambda_reg, alpha),
+            phase_starts=starts,
+            M=M,
+            d=d,
+            lambda_reg=lambda_reg,
+            alpha=alpha,
+            features=features,
+        )
 
 
 def policy_action(policy: MixturePolicy, context: Context, rng: np.random.Generator) -> int:
@@ -237,6 +284,7 @@ def plan(contexts: Iterable[Context], config: ExperimentConfig, *,
         d=d,
         lambda_reg=config.lambda_reg,
         alpha=config.alpha,
+        features=chosen,
     )
     trace = UncertaintyTrace(
         values=values,

@@ -61,6 +61,14 @@ def test_rank_one_update_scaled():
     assert np.array_equal(cov.matrix, np.diag([1.0, 1.5]))
 
 
+def test_rank_one_update_keeps_matrix_exactly_symmetric():
+    rng = np.random.default_rng(17)
+    cov = RegularizedCovariance(7, 0.9, 0.3)
+    for phi in _random_unit_vectors(rng, 300, 7):
+        cov.rank_one_update(phi)
+    assert np.array_equal(cov.matrix, cov.matrix.T)
+
+
 def test_rank_one_update_matches_batch_oracle():
     rng = np.random.default_rng(5)
     d, n, lam, alpha = 5, 100, 0.7, 0.3
@@ -151,7 +159,7 @@ def test_det_ratio_matches_direct_determinant_oracle():
     snap = cov.snapshot()
     for phi in _random_unit_vectors(rng, 50, 4):
         cov.rank_one_update(phi)
-    oracle = np.linalg.det(cov.matrix) / np.linalg.det(snap.matrix)
+    oracle = np.linalg.det(cov.matrix) / np.linalg.det(snap.factor @ snap.factor.T)
     assert cov.det_ratio(snap) == pytest.approx(oracle, rel=1e-8)
 
 
@@ -165,7 +173,7 @@ def test_snapshots_are_psd_ordered_and_norms_shrink():
             snapshots.append(cov.snapshot())
     probes = rng.normal(size=(10, 5))
     for earlier, later in zip(snapshots, snapshots[1:]):
-        gap = later.matrix - earlier.matrix
+        gap = later.factor @ later.factor.T - earlier.factor @ earlier.factor.T
         assert np.linalg.eigvalsh(gap).min() >= -1e-8
         for x in probes:
             assert later.mahalanobis(x) <= earlier.mahalanobis(x) + 1e-8
@@ -200,12 +208,22 @@ def test_snapshot_matrices_are_immutable():
     cov = RegularizedCovariance(2, 1.0, 1.0)
     snap = cov.snapshot()
     with pytest.raises(ValueError):
-        snap.matrix[0, 0] = 5.0
+        snap.factor[0, 0] = 5.0
+    with pytest.raises(AttributeError):
+        snap.factor = np.eye(2)
+    # A snapshot keeps its factor only; the writer's later updates and
+    # refactorizations leave it untouched.
+    assert not hasattr(snap, "matrix")
+    before = snap.factor.copy()
+    cov.rank_one_update(np.array([0.6, 0.8]))
+    cov.log_det()
+    assert np.array_equal(snap.factor, before)
 
 
 def test_snapshot_from_matrix_round_trip():
     spd = np.array([[2.0, 0.5], [0.5, 1.0]])
     snap = CovarianceSnapshot.from_matrix(spd)
+    assert np.allclose(snap.factor @ snap.factor.T, spd, rtol=1e-12, atol=0.0)
     assert math.exp(snap.log_det) == pytest.approx(np.linalg.det(spd), rel=1e-12)
     x = np.array([0.3, -0.7])
     oracle = math.sqrt(float(x @ np.linalg.solve(spd, x)))

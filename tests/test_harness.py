@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +136,27 @@ def test_stand_in_environment_pipeline(tmp_path):
     # metrics.csv leaves the suboptimality column empty for data-driven envs
     line = result.metrics_path.read_text().strip().splitlines()[1]
     assert ",," in line
+
+
+def test_stand_in_default_file_is_keyed_by_generator_parameters(tmp_path, monkeypatch):
+    # Without an explicit data_path the stand-in file is cached under runs/;
+    # runs that differ only in standin_queries must not share it.
+    monkeypatch.chdir(tmp_path)
+    ingested = {}
+    for queries in (20, 35):
+        result = run_experiment(RunConfig(
+            environment="stand_in", algorithm="random", N=10, n_trials=1,
+            eval_every=10, eval_set_size=5, seed=3, standin_queries=queries,
+            rank_raw_dim=30, rank_subsampled_dim=12,
+            output_path=str(tmp_path / f"out-{queries}"),
+        ))
+        data_path = Path(result.summary["config"]["data_path"])
+        assert data_path.parent == Path("runs")
+        qids = {line.split()[1] for line in data_path.read_text().splitlines()}
+        ingested[queries] = (data_path, len(qids))
+    assert ingested[20][0] != ingested[35][0]
+    assert ingested[20][1] == 20
+    assert ingested[35][1] == 35
 
 
 def test_lambda_sweep_emits_one_metrics_file_per_value(tmp_path):
@@ -299,3 +321,46 @@ def test_cli_reports_missing_dataset(tmp_path, capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _plan_args(policy_path):
+    return ["plan", "--env", "hard_uniform", "--actions", "4", "--M", "30",
+            "--seed", "1", "--out", str(policy_path)]
+
+
+def _sample_args(policy_path, tmp_path):
+    return ["sample", "--env", "hard_uniform", "--actions", "4", "--policy",
+            str(policy_path), "--N", "10", "--out", str(tmp_path / "dataset.csv")]
+
+
+def test_cli_rejects_truncated_policy(tmp_path, capsys):
+    policy_path = tmp_path / "policy.npz"
+    assert cli_main(_plan_args(policy_path)) == 0
+    blob = policy_path.read_bytes()
+    policy_path.write_bytes(blob[: len(blob) // 2])
+    assert cli_main(_sample_args(policy_path, tmp_path)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_v1_json_policy(tmp_path, capsys):
+    policy_path = tmp_path / "policy.json"
+    policy_path.write_text(json.dumps({
+        "format": "mixture-policy", "version": 1, "d": 2, "lambda_reg": 1.0,
+        "alpha": 1.0, "M": 1, "phase_starts": [1], "snapshots": [],
+    }))
+    assert cli_main(_sample_args(policy_path, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "re-run `mixplan plan`" in err
+
+
+def test_cli_maps_typed_errors_to_exit_2(tmp_path, capsys):
+    # A policy planned at d=2 sampled on an instance of another dimension
+    # (ContractViolation), and a malformed dataset CSV (DataError).
+    policy_path = tmp_path / "policy.npz"
+    assert cli_main(_plan_args(policy_path)) == 0
+    assert cli_main(["sample", "--env", "hard_goptimal", "--policy", str(policy_path),
+                     "--N", "5", "--out", str(tmp_path / "d.csv")]) == 2
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("not,a,dataset\n")
+    assert cli_main(["fit", "--dataset", str(bad_csv), "--out", str(tmp_path / "e.npz")]) == 2
+    assert capsys.readouterr().err.count("error:") == 2

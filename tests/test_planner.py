@@ -1,7 +1,12 @@
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixplan import (
     ConfigurationError,
@@ -9,8 +14,10 @@ from mixplan import (
     ExperimentConfig,
     MixturePolicy,
     make_hard_uniform,
+    make_random_unit_instance,
     plan,
     policy_action,
+    sample,
     switch_count_budget,
 )
 from mixplan.covariance import CovarianceSnapshot
@@ -63,7 +70,9 @@ def test_plan_is_deterministic():
     second_policy, second_trace = plan(contexts, _config(60))
     assert first_policy.phase_starts == second_policy.phase_starts
     for a, b in zip(first_policy.snapshots, second_policy.snapshots):
-        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a.factor, b.factor)
+        assert a.log_det == b.log_det
+    assert np.array_equal(first_policy.features, second_policy.features)
     assert np.array_equal(first_trace.values, second_trace.values)
     assert np.array_equal(first_trace.actions, second_trace.actions)
 
@@ -149,7 +158,8 @@ def test_plan_norm_cap_enforced_by_default():
 def _single_phase_policy(matrix, M=10):
     snap = CovarianceSnapshot.from_matrix(np.asarray(matrix, dtype=np.float64))
     return MixturePolicy(
-        snapshots=[snap], phase_starts=[1], M=M, d=snap.d, lambda_reg=1.0, alpha=1.0
+        snapshots=[snap], phase_starts=[1], M=M, d=snap.d, lambda_reg=1.0, alpha=1.0,
+        features=np.zeros((M, snap.d)),
     )
 
 
@@ -173,7 +183,7 @@ def test_policy_action_phase_frequencies():
     snap_b = CovarianceSnapshot.from_matrix(np.diag([10.0, 1.0]))
     policy = MixturePolicy(
         snapshots=[snap_a, snap_b], phase_starts=[1, 31], M=100,
-        d=2, lambda_reg=1.0, alpha=1.0,
+        d=2, lambda_reg=1.0, alpha=1.0, features=np.zeros((100, 2)),
     )
     context = make_context([[0.9, 0.0], [0.0, 0.5]])
     # snapshot A: norms (0.9, 0.5) -> action 0; snapshot B: (0.28, 0.5) -> action 1
@@ -191,40 +201,136 @@ def test_policy_dimension_check():
 
 def test_policy_invariant_validation():
     snap = CovarianceSnapshot.from_matrix(np.eye(2))
+    features = np.zeros((10, 2))
+    common = dict(M=10, d=2, lambda_reg=1.0, alpha=1.0)
     with pytest.raises(ConfigurationError):
-        MixturePolicy(snapshots=[snap], phase_starts=[2], M=10, d=2, lambda_reg=1.0, alpha=1.0)
+        MixturePolicy(snapshots=[snap], phase_starts=[2], features=features, **common)
     with pytest.raises(ConfigurationError):
-        MixturePolicy(
-            snapshots=[snap, snap], phase_starts=[1, 1], M=10, d=2, lambda_reg=1.0, alpha=1.0
-        )
+        MixturePolicy(snapshots=[snap, snap], phase_starts=[1, 1], features=features, **common)
+    with pytest.raises(ConfigurationError):
+        MixturePolicy(snapshots=[snap], phase_starts=[1], features=np.zeros((9, 2)), **common)
+    with pytest.raises(ConfigurationError):
+        MixturePolicy(snapshots=[snap], phase_starts=[1],
+                      features=np.full((10, 2), np.nan), **common)
+    policy = MixturePolicy(snapshots=[snap], phase_starts=[1], features=features, **common)
+    with pytest.raises(ValueError):
+        policy.features[0, 0] = 1.0
+
+
+def _assert_same_policy(loaded, policy):
+    assert loaded.phase_starts == policy.phase_starts
+    assert (loaded.M, loaded.d) == (policy.M, policy.d)
+    assert loaded.lambda_reg == policy.lambda_reg
+    assert loaded.alpha == policy.alpha
+    assert loaded.features.tobytes() == policy.features.tobytes()
+    assert loaded.snapshot_count == policy.snapshot_count
+    for a, b in zip(policy.snapshots, loaded.snapshots):
+        assert a.factor.tobytes() == b.factor.tobytes()
+        assert a.log_det == b.log_det
+        assert a.snapshot_index == b.snapshot_index
 
 
 def test_policy_artifact_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(27)
     contexts = unit_ball_contexts(rng, 80, 4, 5)
-    policy, _ = plan(contexts, _config(80, lam=0.7, alpha=0.5))
+    policy, trace = plan(contexts, _config(80, lam=0.7, alpha=0.5))
+    assert np.array_equal(policy.features, trace.chosen_features)
     path = tmp_path / "policy.json"
     policy.save(path)
+    assert path.exists() and not (tmp_path / "policy.json.npz").exists()
     loaded = MixturePolicy.load(path)
-    assert loaded.phase_starts == policy.phase_starts
-    assert loaded.M == policy.M
-    assert loaded.lambda_reg == policy.lambda_reg
-    assert loaded.alpha == policy.alpha
-    for a, b in zip(policy.snapshots, loaded.snapshots):
-        assert a.matrix.tobytes() == b.matrix.tobytes()
+    _assert_same_policy(loaded, policy)
     probe = unit_ball_contexts(rng, 1, 4, 6)[0]
     for k in range(policy.snapshot_count):
         assert policy.snapshot_action(k, probe) == loaded.snapshot_action(k, probe)
 
 
-def test_policy_artifact_rejects_foreign_payloads():
-    policy = _single_phase_policy(np.eye(2))
-    payload = policy.to_artifact_dict()
-    assert payload["version"] == 1
-    with pytest.raises(ConfigurationError):
-        MixturePolicy.from_artifact_dict({**payload, "format": "other"})
-    with pytest.raises(ConfigurationError):
-        MixturePolicy.from_artifact_dict({**payload, "version": 99})
+def _artifact(policy):
+    return {
+        "format": np.str_("mixture-policy"),
+        "version": np.int64(2),
+        "features": policy.features,
+        "phase_starts": np.asarray(policy.phase_starts, dtype=np.int64),
+        "M": np.int64(policy.M),
+        "lambda_reg": np.float64(policy.lambda_reg),
+        "alpha": np.float64(policy.alpha),
+    }
+
+
+def _write(path, **arrays):
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+    return path
+
+
+def test_policy_artifact_rejects_foreign_payloads(tmp_path):
+    rng = np.random.default_rng(29)
+    policy, _ = plan(unit_ball_contexts(rng, 40, 3, 4), _config(40))
+    good = _artifact(policy)
+    _assert_same_policy(MixturePolicy.load(_write(tmp_path / "good.npz", **good)), policy)
+
+    saved = tmp_path / "saved.npz"
+    policy.save(saved)
+    blob = saved.read_bytes()
+    bad_features = policy.features.copy()
+    bad_features[3, 1] = np.inf
+    cases = {
+        "other-format": {**good, "format": np.str_("other")},
+        "future-version": {**good, "version": np.int64(99)},
+        "no-version": {k: v for k, v in good.items() if k != "version"},
+        "no-features": {k: v for k, v in good.items() if k != "features"},
+        "no-alpha": {k: v for k, v in good.items() if k != "alpha"},
+        "short-features": {**good, "features": policy.features[:-1]},
+        "flat-features": {**good, "features": policy.features.ravel()},
+        "non-finite-features": {**good, "features": bad_features},
+        "vector-M": {**good, "M": np.array([policy.M, 1])},
+        "nan-lambda": {**good, "lambda_reg": np.float64(np.nan)},
+        "late-phase": {**good, "phase_starts": np.array([1, policy.M + 1])},
+    }
+    for name, arrays in cases.items():
+        with pytest.raises(ConfigurationError):
+            MixturePolicy.load(_write(tmp_path / f"{name}.npz", **arrays))
+
+    np.save(tmp_path / "eye.npy", np.eye(2))
+    raw_files = {
+        "truncated": blob[: len(blob) // 2],
+        "empty": b"",
+        "text": b"not an artifact\n",
+        "npy": (tmp_path / "eye.npy").read_bytes(),
+        "v1-json": json.dumps({"format": "mixture-policy", "version": 1, "d": 2, "M": 1,
+                               "lambda_reg": 1.0, "alpha": 1.0, "phase_starts": [1],
+                               "snapshots": ["AAAAAAAA8D8="]}).encode(),
+    }
+    for name, data in raw_files.items():
+        path = tmp_path / f"{name}.bin"
+        path.write_bytes(data)
+        with pytest.raises(ConfigurationError):
+            MixturePolicy.load(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 8),
+    M=st.integers(1, 60),
+    n_actions=st.integers(1, 5),
+    lambda_reg=st.floats(0.5, 5.0),
+    alpha=st.floats(0.0, 1.0, exclude_min=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_plan_save_load_round_trip_property(d, M, n_actions, lambda_reg, alpha, seed):
+    instance = make_random_unit_instance(d, n_actions, seed=seed)
+    offline_seed, online_seed = np.random.SeedSequence(seed).spawn(2)
+    offline_rng = np.random.default_rng(offline_seed)
+    contexts = [instance.context_sampler(offline_rng) for _ in range(M)]
+    policy, _ = plan(contexts, _config(M, lam=lambda_reg, alpha=alpha))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "policy.json"
+        policy.save(path)
+        loaded = MixturePolicy.load(path)
+    _assert_same_policy(loaded, policy)
+    in_memory = sample(policy, instance, 30, np.random.default_rng(online_seed))
+    replayed = sample(loaded, instance, 30, np.random.default_rng(online_seed))
+    assert [r.action_index for r in replayed] == [r.action_index for r in in_memory]
 
 
 def test_phase_lengths_sum_to_M():
