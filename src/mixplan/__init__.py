@@ -55,9 +55,9 @@ from .baselines import (
     RandomPolicy,
     SingleActionPolicy,
     largest_norm_action,
+    oracle_fits,
     random_policy_action,
     single_action,
-    supervised_oracle_fit,
 )
 from .concentration import (
     BernoulliChain,

@@ -1,19 +1,21 @@
 """Non-reactive comparison strategies: random, largest-norm, single-action,
 and the full-feedback supervised oracle.
 
-All baselines share the mixture policy's ``action(context, rng)`` interface,
-so the sampler and harness are strategy-agnostic. None of them can read a
-reward.
+The three policies share the mixture policy's ``action(context, rng)``
+interface, so ``sample`` collects their data like the planner's, and none of
+them can read a reward. The oracle is no policy: ``oracle_fits`` observes the
+reward of every action of each context and yields ridge fits on growing
+prefixes of that full feedback.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Iterable, Tuple
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import Context, InteractionDataset, InteractionRecord
+from .core import BanditInstance, Context, InteractionDataset, InteractionRecord
 from .estimator import RidgeEstimate, ridge_fit
 
 logger = logging.getLogger(__name__)
@@ -64,26 +66,24 @@ class SingleActionPolicy:
         return single_action(context, self.fixed_index)
 
 
-def supervised_oracle_fit(full_feedback: Iterable[Tuple[Context, int, float]],
-                          lambda_reg: float) -> RidgeEstimate:
-    """Ridge fit on full feedback: every action of every training context.
+def oracle_fits(instance: BanditInstance, points: Sequence[int], lambda_reg: float,
+                rng: np.random.Generator) -> Iterator[RidgeEstimate]:
+    """The full-feedback supervised oracle: for each n in ``points``
+    (increasing), the ridge fit on every action of the first n contexts.
 
-    This is definitionally ridge_fit on the exploded dataset; it exists as
-    an approximate upper bound for the bandit-feedback strategies.
+    Contexts and the reward of every action are drawn from ``rng`` in stream
+    order through ``BanditInstance.reward``; each fit is ``ridge_fit`` on the
+    exploded dataset so far. Records are built once, as the stream advances.
+    It is an approximate upper bound for the bandit-feedback strategies.
     """
-    records = []
-    d = None
-    for context, action_index, reward in full_feedback:
-        if d is None:
-            d = context.d
-        records.append(
-            InteractionRecord(
-                context_id=context.context_id,
-                action_index=action_index,
-                feature=context.features[action_index],
-                reward=reward,
-            )
-        )
-    if d is None:
-        raise ValueError("full feedback is empty")
-    return ridge_fit(InteractionDataset(d, records), lambda_reg)
+    records: list[InteractionRecord] = []
+    seen = 0
+    for n in points:
+        for _ in range(n - seen):
+            context = instance.context_sampler(rng)
+            for a in range(context.n_actions):
+                reward = instance.reward(context, a, rng)
+                records.append(
+                    InteractionRecord(context.context_id, a, context.features[a], reward))
+        seen = n
+        yield ridge_fit(InteractionDataset(instance.d, records), lambda_reg)

@@ -155,7 +155,12 @@ def _cmd_eval(args) -> int:
 def _cmd_run_experiment(args) -> int:
     payload = {}
     if args.config:
-        payload = json.loads(Path(args.config).read_text())
+        try:
+            payload = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{args.config} is not valid JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise ConfigurationError(f"{args.config} must hold a JSON object of RunConfig fields")
     overrides = {
         "environment": args.environment,
         "algorithm": args.algorithm,

@@ -21,8 +21,6 @@ from .covariance import RegularizedCovariance
 from .planner import MixturePolicy, plan, switch_count_budget
 from .sampler import sample
 
-_LOG2 = math.log(2.0)
-
 
 # ---------------------------------------------------------------------------
 # Bound calculators
@@ -257,14 +255,11 @@ def potential_check(vectors: np.ndarray, lambda_reg: float,
     d = vectors.shape[1]
     cov = RegularizedCovariance(d, lambda_reg, alpha=1.0, norm_cap=1.0)
     snap = None
-    snap_log_det = -math.inf
     lhs_squared = 0.0
     lhs_unsquared = 0.0
     for x in vectors:
-        log_det = cov.log_det()
-        if snap is None or log_det - snap_log_det > _LOG2:
+        if cov.doubled_since(snap):
             snap = cov.snapshot()
-            snap_log_det = log_det
         u = snap.mahalanobis(x)
         lhs_squared += u * u
         lhs_unsquared += u

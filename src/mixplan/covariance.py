@@ -25,6 +25,8 @@ from .core import ConfigurationError, ContractViolation
 #: Absolute slack on the feature-norm gate.
 NORM_TOLERANCE = 1e-9
 
+_LOG2 = math.log(2.0)
+
 
 def _mahalanobis_rows(chol_lower: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Row-wise sqrt(x^T Sigma^{-1} x) given the lower Cholesky factor of Sigma."""
@@ -202,6 +204,11 @@ class RegularizedCovariance:
         snap = CovarianceSnapshot(self.factor(), self.log_det(), self._snapshots_taken)
         self._snapshots_taken += 1
         return snap
+
+    def doubled_since(self, snapshot: CovarianceSnapshot | None) -> bool:
+        """The doubling rule: True when there is no snapshot yet or the
+        determinant has more than doubled since ``snapshot`` was taken."""
+        return snapshot is None or self.log_det() - snapshot.log_det > _LOG2
 
     def det_ratio(self, snapshot: CovarianceSnapshot) -> float:
         """det(current) / det(snapshot), computed from log determinants."""

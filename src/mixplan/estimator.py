@@ -160,20 +160,29 @@ def evaluate(estimate: RidgeEstimate, instance: BanditInstance,
     Evaluation is noiseless: values and gaps are inner products with
     theta_star, so a perfectly estimated parameter yields zero gap exactly.
     """
-    if not eval_contexts:
-        raise ConfigurationError("evaluation context set is empty")
     if instance.theta_star is None:
         raise ContractViolation(
             "evaluation against theta_star requires a linear instance"
         )
+    if any(context.d != estimate.d for context in eval_contexts):
+        raise ContractViolation("evaluation context dimension mismatch")
     theta_star = instance.theta_star
+    return evaluate_values(estimate, eval_contexts,
+                           [context.features @ theta_star for context in eval_contexts])
+
+
+def evaluate_values(estimate: RidgeEstimate, eval_contexts: Sequence[Context],
+                    true_values: Sequence[np.ndarray]) -> EvaluationReport:
+    """``evaluate`` against given true values: ``true_values[i]`` holds the
+    value of every action of ``eval_contexts[i]`` (theta_star scores, or
+    recorded relevance labels for a data-driven instance)."""
+    if not eval_contexts:
+        raise ConfigurationError("evaluation context set is empty")
     gaps = np.empty(len(eval_contexts))
     values = np.empty(len(eval_contexts))
     uncertainties = np.empty(len(eval_contexts))
     for i, context in enumerate(eval_contexts):
-        if context.d != estimate.d:
-            raise ContractViolation("evaluation context dimension mismatch")
-        true_scores = context.features @ theta_star
+        true_scores = true_values[i]
         chosen = greedy_action(estimate, context)
         values[i] = true_scores[chosen]
         gaps[i] = float(true_scores.max()) - values[i]

@@ -1,18 +1,22 @@
 """Reproducible experiment driver.
 
-Runs multi-seed trials of one (environment, algorithm) pair: generate or
-ingest the environment, run the offline phase on an independent context
-stream, run the online phase with periodic ridge refits and evaluations,
-and emit metric rows plus a summary with mean and standard error across
-trials.
+Runs multi-seed trials of one (environment, algorithm) pair and emits
+metric rows plus a summary with mean and standard error across trials.
+A trial generates or ingests the environment, plans the collection policy
+on an independent offline context stream, collects all of its online data
+in one ``sample`` call, and then, at every evaluation point n, ridge-fits
+the first n records and evaluates the extracted greedy policy. The
+supervised oracle takes the place of the last two steps with
+``baselines.oracle_fits``, which fits the full feedback of the first n
+contexts.
 
 Each trial owns one master seed, split deterministically into environment,
 offline-stream, online-stream, policy, and evaluation streams. The online
 context stream depends only on the stream seed, so different algorithms
-run with the same (seed, trial) observe the same contexts. The offline
-stream is independent of the online one, and the exploration policy is
-frozen before sampling begins; only the extracted greedy policy is
-re-evaluated as samples accrue.
+run with the same (seed, trial) observe the same contexts. The exploration
+policy is frozen before sampling begins and evaluation draws from its own
+stream, so fitting prefixes of one collected dataset gives exactly the
+numbers that refitting during collection would.
 
 Everything written to metrics.csv is bit-reproducible for a fixed
 configuration; wall-clock timings go to a separate timings.csv.
@@ -23,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -35,16 +40,15 @@ from .baselines import (
     LargestNormPolicy,
     RandomPolicy,
     SingleActionPolicy,
+    oracle_fits,
 )
 from .core import (
     BanditInstance,
     ConfigurationError,
-    Context,
     ExperimentConfig,
     InteractionDataset,
-    InteractionRecord,
 )
-from .estimator import RidgeEstimate, evaluate, greedy_action, ridge_fit
+from .estimator import EvaluationReport, RidgeEstimate, evaluate, evaluate_values, ridge_fit
 from .environments import (
     RankDatasetSpec,
     RankedContext,
@@ -56,11 +60,13 @@ from .environments import (
     make_synthetic,
 )
 from .planner import plan
+from .sampler import _float_repr, sample
 
 logger = logging.getLogger(__name__)
 
 ENVIRONMENTS = ("synthetic", "hard_uniform", "hard_goptimal", "rank_dataset", "stand_in")
 ALGORITHMS = ("planner_sampler", "random", "largest_norm", "single_action", "supervised_oracle")
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,8 @@ class RunConfig:
             raise ConfigurationError("eval_set_size must be at least 1")
         if self.workers < 1:
             raise ConfigurationError("workers must be at least 1")
+        if self.max_contexts is not None and self.max_contexts < 1:
+            raise ConfigurationError("max_contexts must be at least 1")
         if self.environment == "rank_dataset" and not self.data_path:
             raise ConfigurationError(
                 "rank_dataset requires data_path; see the ingestion notes in the README "
@@ -120,11 +128,25 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - known
+        """Build a config from JSON data; ConfigurationError for anything that
+        is not an object of known, correctly typed fields."""
+        if not isinstance(payload, dict):
+            raise ConfigurationError(
+                f"config must be an object of RunConfig fields, got {type(payload).__name__}")
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(payload) - set(types)
         if unknown:
             raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**payload)
+        for name, value in payload.items():
+            kind = types[name].removeprefix("Optional[").removesuffix("]")
+            if value is None and kind != types[name]:
+                continue
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
+                raise ConfigurationError(f"config field {name!r} must be {kind}, got {value!r}")
+        try:
+            return cls(**payload)
+        except TypeError as exc:  # a required field is missing
+            raise ConfigurationError(f"incomplete config: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -156,8 +178,8 @@ class _TrialEnv:
     offline_contexts: list
     horizon: int
     norm_cap: Optional[float]
-    evaluate_estimate: Callable[[RidgeEstimate], tuple]
-    full_feedback_rewards: Callable[[Context, np.random.Generator], np.ndarray]
+    evaluate_estimate: Callable[[RidgeEstimate], EvaluationReport]
+    reports_gap: bool = True
 
 
 def _linear_env(instance: BanditInstance, config: RunConfig, seeds) -> _TrialEnv:
@@ -167,27 +189,13 @@ def _linear_env(instance: BanditInstance, config: RunConfig, seeds) -> _TrialEnv
     offline_contexts = [instance.context_sampler(offline_rng) for _ in range(config.M)]
     eval_contexts = [instance.context_sampler(eval_rng) for _ in range(config.eval_set_size)]
 
-    def evaluate_estimate(estimate: RidgeEstimate):
-        report = evaluate(estimate, instance, eval_contexts)
-        return (
-            report.policy_value,
-            report.expected_suboptimality,
-            report.expected_max_uncertainty,
-        )
-
-    def full_rewards(context: Context, rng: np.random.Generator) -> np.ndarray:
-        return np.array(
-            [instance.reward(context, a, rng) for a in range(context.n_actions)]
-        )
-
     norm_cap = None if config.environment == "synthetic" else 1.0
     return _TrialEnv(
         instance=instance,
         offline_contexts=offline_contexts,
         horizon=config.N,
         norm_cap=norm_cap,
-        evaluate_estimate=evaluate_estimate,
-        full_feedback_rewards=full_rewards,
+        evaluate_estimate=lambda estimate: evaluate(estimate, instance, eval_contexts),
     )
 
 
@@ -211,30 +219,18 @@ def _rank_env(ingest, config: RunConfig, seeds) -> _TrialEnv:
     online_order = np.random.default_rng(s_stream).permutation(len(train))[:horizon]
     instance = make_rank_instance(train, order=online_order)
 
-    test_features = [rc.context for rc in test]
+    test_contexts = [rc.context for rc in test]
     test_relevance = [rc.relevance for rc in test]
-    relevance_by_id = {rc.context.context_id: rc.relevance for rc in train}
 
-    def evaluate_estimate(estimate: RidgeEstimate):
-        values = np.empty(len(test_features))
-        uncertainties = np.empty(len(test_features))
-        for i, context in enumerate(test_features):
-            values[i] = test_relevance[i][greedy_action(estimate, context)]
-            uncertainties[i] = float(
-                estimate.sigma_prime_n.mahalanobis_rows(context.features).max()
-            )
-        return float(values.mean()), None, float(uncertainties.mean())
-
-    def full_rewards(context: Context, rng: np.random.Generator) -> np.ndarray:
-        return np.asarray(relevance_by_id[context.context_id], dtype=np.float64)
-
+    # Relevance labels are the true action values; the gap is not reported.
     return _TrialEnv(
         instance=instance,
         offline_contexts=offline_contexts,
         horizon=horizon,
         norm_cap=1.0,
-        evaluate_estimate=evaluate_estimate,
-        full_feedback_rewards=full_rewards,
+        evaluate_estimate=lambda estimate: evaluate_values(estimate, test_contexts,
+                                                           test_relevance),
+        reports_gap=False,
     )
 
 
@@ -296,73 +292,43 @@ def _eval_points(horizon: int, eval_every: int) -> list[int]:
 
 
 def run_trial(config: RunConfig, trial: int) -> list[MetricRow]:
-    """One trial: collect online data and evaluate the extracted policy
-    at every eval_every online samples."""
+    """One trial: collect the online data, then fit and evaluate the
+    extracted policy on its first n samples for every evaluation point n."""
     ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(trial,))
     _, _, s_stream, s_policy, _ = ss.spawn(5)
     env = _prepare_trial_env(config, trial)
     policy = _collection_policy(config, env)
-
     stream_rng = np.random.default_rng(s_stream)
-    policy_rng = np.random.default_rng(s_policy)
-    eval_points = set(_eval_points(env.horizon, config.eval_every))
+    points = _eval_points(env.horizon, config.eval_every)
 
-    rows: list[MetricRow] = []
     start = time.perf_counter()
-    dataset = InteractionDataset(env.instance.d)
-    full_feedback: list = []
-
-    for n in range(1, env.horizon + 1):
-        context = env.instance.context_sampler(stream_rng)
-        if config.algorithm == "supervised_oracle":
-            rewards = env.full_feedback_rewards(context, stream_rng)
-            for a in range(context.n_actions):
-                full_feedback.append(
-                    InteractionRecord(
-                        context_id=context.context_id,
-                        action_index=a,
-                        feature=context.features[a],
-                        reward=float(rewards[a]),
-                    )
-                )
-        else:
-            a = policy.action(context, policy_rng)
-            reward = env.instance.reward(context, a, stream_rng)
-            dataset.append(
-                InteractionRecord(
-                    context_id=context.context_id,
-                    action_index=a,
-                    feature=context.features[a],
-                    reward=reward,
-                )
+    if policy is None:
+        estimates = oracle_fits(env.instance, points, config.lambda_reg, stream_rng)
+    else:
+        dataset = sample(policy, env.instance, env.horizon, stream_rng,
+                         policy_rng=np.random.default_rng(s_policy))
+        estimates = (ridge_fit(InteractionDataset(dataset.d, dataset[:n]), config.lambda_reg)
+                     for n in points)
+    rows: list[MetricRow] = []
+    for n, estimate in zip(points, estimates):
+        report = env.evaluate_estimate(estimate)
+        gap = report.expected_suboptimality if env.reports_gap else None
+        rows.append(
+            MetricRow(
+                trial=trial,
+                n_samples_seen=n,
+                policy_value=report.policy_value,
+                expected_suboptimality=gap,
+                expected_max_uncertainty=report.expected_max_uncertainty,
+                wall_time_ms=(time.perf_counter() - start) * 1000.0,
             )
-        if n in eval_points:
-            if config.algorithm == "supervised_oracle":
-                fit_data = InteractionDataset(env.instance.d, full_feedback)
-            else:
-                fit_data = dataset
-            estimate = ridge_fit(fit_data, config.lambda_reg)
-            value, subopt, uncertainty = env.evaluate_estimate(estimate)
-            rows.append(
-                MetricRow(
-                    trial=trial,
-                    n_samples_seen=n,
-                    policy_value=value,
-                    expected_suboptimality=subopt,
-                    expected_max_uncertainty=uncertainty,
-                    wall_time_ms=(time.perf_counter() - start) * 1000.0,
-                )
-            )
+        )
     return rows
 
 
 def _trial_worker(payload: tuple) -> list[MetricRow]:
     config_dict, trial = payload
     return run_trial(RunConfig.from_dict(config_dict), trial)
-
-
-def _float_repr(value: float) -> str:
-    return repr(float(value))
 
 
 def _write_metrics(rows: Sequence[MetricRow], output_dir: Path) -> None:

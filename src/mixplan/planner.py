@@ -43,8 +43,6 @@ from .artifact import read_artifact, scalar, write_artifact
 from .core import ConfigurationError, Context, ContractViolation, ExperimentConfig
 from .covariance import CovarianceSnapshot, RegularizedCovariance
 
-_LOG2 = math.log(2.0)
-
 ARTIFACT_FORMAT = "mixture-policy"
 ARTIFACT_VERSION = 2
 
@@ -250,7 +248,6 @@ def plan(contexts: Iterable[Context], config: ExperimentConfig, *,
     chosen = np.empty((M, d))
 
     snap = None
-    snap_log_det = -math.inf
     for m in range(1, M + 1):
         if m > 1:
             try:
@@ -262,10 +259,8 @@ def plan(contexts: Iterable[Context], config: ExperimentConfig, *,
         if context.d != d:
             raise ContractViolation("context dimension changed mid-stream")
 
-        log_det = cov.log_det()
-        if snap is None or log_det - snap_log_det > _LOG2:
+        if cov.doubled_since(snap):
             snap = cov.snapshot()
-            snap_log_det = log_det
             snapshots.append(snap)
             phase_starts.append(m)
 

@@ -23,12 +23,17 @@ from .core import (
 )
 
 
-def sample(policy, instance: BanditInstance, N: int, rng: np.random.Generator) -> InteractionDataset:
+def sample(policy, instance: BanditInstance, N: int, rng: np.random.Generator, *,
+           policy_rng: np.random.Generator | None = None) -> InteractionDataset:
     """Collect N records by running ``policy`` on the instance's context stream.
 
     ``policy`` is anything with an ``action(context, rng) -> int`` method
-    (a MixturePolicy or any of the baselines).
+    (a MixturePolicy or any of the baselines). Contexts and rewards are drawn
+    from ``rng``; the policy's own draws come from ``policy_rng``, which
+    defaults to ``rng``.
     """
+    if policy_rng is None:
+        policy_rng = rng
     if N < 1:
         raise ConfigurationError("N must be at least 1")
     policy_d = getattr(policy, "d", None)
@@ -41,7 +46,7 @@ def sample(policy, instance: BanditInstance, N: int, rng: np.random.Generator) -
         context = instance.context_sampler(rng)
         if context.d != instance.d:
             raise ContractViolation("context dimension does not match the instance")
-        a = policy.action(context, rng)
+        a = policy.action(context, policy_rng)
         reward = instance.reward(context, a, rng)
         dataset.append(
             InteractionRecord(
@@ -77,6 +82,9 @@ def dataset_to_csv(dataset: InteractionDataset, path) -> None:
 
 
 def dataset_from_csv(path) -> InteractionDataset:
+    """Read the interchange CSV. A row that does not parse (wrong field count,
+    a feature or reward that is not a number, an action index that is not a
+    nonnegative integer) raises DataError naming its line."""
     path = Path(path)
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
@@ -86,16 +94,21 @@ def dataset_from_csv(path) -> InteractionDataset:
         d = len(header) - 3
         dataset = InteractionDataset(d)
         for row in reader:
+            where = f"{path} line {reader.line_num}"
             if len(row) != len(header):
-                raise DataError(f"row with {len(row)} fields, expected {len(header)}")
-            dataset.append(
-                InteractionRecord(
+                raise DataError(f"{where}: row with {len(row)} fields, expected {len(header)}")
+            try:
+                record = InteractionRecord(
                     context_id=row[0],
                     action_index=int(row[1]),
                     feature=np.array([float(v) for v in row[2:-1]]),
                     reward=float(row[-1]),
                 )
-            )
+            except ValueError as exc:
+                raise DataError(f"{where}: {exc}") from None
+            if record.action_index < 0:
+                raise DataError(f"{where}: negative action index {record.action_index}")
+            dataset.append(record)
     return dataset
 
 

@@ -3,16 +3,17 @@ import logging
 import numpy as np
 
 from mixplan import (
+    BanditInstance,
     LargestNormPolicy,
     RandomPolicy,
     SingleActionPolicy,
     largest_norm_action,
     make_synthetic,
+    oracle_fits,
     random_policy_action,
     ridge_fit,
     sample,
     single_action,
-    supervised_oracle_fit,
 )
 from mixplan.core import InteractionDataset, InteractionRecord
 
@@ -63,32 +64,37 @@ def test_single_action_fixed_and_clamped(caplog):
     assert "clamping" in caplog.text
 
 
+def _streaming_instance(theta, contexts, noise_std):
+    stream = iter(contexts)
+    return BanditInstance(d=len(theta), theta_star=np.asarray(theta, dtype=np.float64),
+                          context_sampler=lambda rng: next(stream), noise_std=noise_std)
+
+
 def test_supervised_oracle_recovers_theta_on_span(rng):
     theta = np.array([1.0, -2.0, 0.5, 0.0])
     contexts = unit_ball_contexts(rng, 50, 4, 5)
-    triples = []
-    for context in contexts:
-        for a in range(context.n_actions):
-            reward = float(context.features[a] @ theta)
-            triples.append((context, a, reward))
-    estimate = supervised_oracle_fit(triples, lambda_reg=1e-8)
+    instance = _streaming_instance(theta, contexts, noise_std=0.0)
+    (estimate,) = oracle_fits(instance, [50], lambda_reg=1e-8, rng=rng)
+    assert estimate.n_samples == 50 * 5
     assert np.linalg.norm(estimate.theta_hat - theta) < 1e-6
 
 
 def test_supervised_oracle_equals_ridge_on_exploded_dataset(rng):
     contexts = unit_ball_contexts(rng, 10, 3, 4)
-    triples = []
+    instance = _streaming_instance([0.3, -0.1, 0.8], contexts, noise_std=1.0)
+    oracle = list(oracle_fits(instance, [4, 10], lambda_reg=0.5,
+                              rng=np.random.default_rng(7)))
+    replay = np.random.default_rng(7)
     records = []
     for context in contexts:
         for a in range(context.n_actions):
-            reward = float(rng.normal())
-            triples.append((context, a, reward))
+            reward = instance.reward(context, a, replay)
             records.append(
                 InteractionRecord(context.context_id, a, context.features[a], reward)
             )
-    oracle = supervised_oracle_fit(triples, lambda_reg=0.5)
-    direct = ridge_fit(InteractionDataset(3, records), 0.5)
-    assert np.array_equal(oracle.theta_hat, direct.theta_hat)
+    for estimate, n in zip(oracle, (4, 10)):
+        direct = ridge_fit(InteractionDataset(3, records[: n * 4]), 0.5)
+        assert np.array_equal(estimate.theta_hat, direct.theta_hat)
 
 
 def test_baselines_produce_valid_datasets_through_sampler():

@@ -192,6 +192,13 @@ def test_max_contexts_caps_rank_horizon(tmp_path):
     assert result.rows[-1].n_samples_seen == 5
 
 
+def test_max_contexts_must_be_positive(tmp_path):
+    for bad in (0, -3):
+        with pytest.raises(ConfigurationError, match="max_contexts"):
+            RunConfig(environment="rank_dataset", algorithm="random", N=10,
+                      data_path=str(tmp_path / "x.txt"), max_contexts=bad)
+
+
 def test_worker_pool_matches_sequential(tmp_path):
     sequential = run_experiment(
         _tiny_config(tmp_path, output_path=str(tmp_path / "seq"), N=30, eval_every=30)
@@ -364,3 +371,47 @@ def test_cli_maps_typed_errors_to_exit_2(tmp_path, capsys):
     bad_csv.write_text("not,a,dataset\n")
     assert cli_main(["fit", "--dataset", str(bad_csv), "--out", str(tmp_path / "e.npz")]) == 2
     assert capsys.readouterr().err.count("error:") == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"environment": "synthetic", ', "not valid JSON"),
+    ('["synthetic", "random"]', "JSON object"),
+    ('{"environment": "synthetic", "algorithm": "random", "N": "abc"}', "'N' must be int"),
+], ids=["malformed-json", "json-array", "wrongly-typed-field"])
+def test_cli_run_experiment_rejects_bad_config_file(tmp_path, capsys, text, message):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(text)
+    code = cli_main(["run-experiment", "--config", str(config_path),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_config_from_dict_rejects_bad_payloads():
+    for payload in ([1, 2], {"environment": "synthetic", "algorithm": "random"},
+                    {"environment": "synthetic", "algorithm": "random", "N": 5,
+                     "lambda_reg": "big"},
+                    {"environment": "synthetic", "algorithm": "random", "N": True}):
+        with pytest.raises(ConfigurationError):
+            RunConfig.from_dict(payload)
+    config = RunConfig.from_dict({"environment": "synthetic", "algorithm": "random",
+                                  "N": 5, "lambda_reg": 2, "M": None})
+    assert config.lambda_reg == 2 and config.M == 5
+
+
+@pytest.mark.parametrize("row, message", [
+    ("c0,0,0.5,oops,1.0", "line 2"),
+    ("c0,0,0.5,0.25,nan-ish", "line 2"),
+    ("c0,1.5,0.5,0.25,1.0", "line 2"),
+    ("c0,-1,0.5,0.25,1.0", "negative action index"),
+], ids=["feature", "reward", "action-index", "negative-action-index"])
+def test_cli_reports_unparsable_dataset_fields(tmp_path, capsys, row, message):
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("context_id,action_index,f0,f1,reward\n" + row + "\n")
+    for command in (["fit", "--dataset", str(bad_csv), "--out", str(tmp_path / "e.npz")],
+                    ["histogram", "--dataset", str(bad_csv), "--out", str(tmp_path / "h.csv")]):
+        assert cli_main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and str(bad_csv) in err
