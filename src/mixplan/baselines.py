@@ -15,8 +15,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import BanditInstance, Context, InteractionDataset, InteractionRecord
-from .estimator import RidgeEstimate, ridge_fit
+from .core import BanditInstance, Context
+from .estimator import RidgeEstimate, ridge_fit_arrays
 
 logger = logging.getLogger(__name__)
 
@@ -72,18 +72,19 @@ def oracle_fits(instance: BanditInstance, points: Sequence[int], lambda_reg: flo
     (increasing), the ridge fit on every action of the first n contexts.
 
     Contexts and the reward of every action are drawn from ``rng`` in stream
-    order through ``BanditInstance.reward``; each fit is ``ridge_fit`` on the
-    exploded dataset so far. Records are built once, as the stream advances.
+    order through ``BanditInstance.reward``; each fit equals ``ridge_fit`` on the
+    exploded dataset so far, one row per (context, action). The feature
+    blocks and rewards are kept as arrays as the stream advances.
     It is an approximate upper bound for the bandit-feedback strategies.
     """
-    records: list[InteractionRecord] = []
+    blocks = [np.zeros((0, instance.d))]
+    rewards: list[float] = []
     seen = 0
     for n in points:
         for _ in range(n - seen):
             context = instance.context_sampler(rng)
-            for a in range(context.n_actions):
-                reward = instance.reward(context, a, rng)
-                records.append(
-                    InteractionRecord(context.context_id, a, context.features[a], reward))
+            blocks.append(context.features)
+            rewards.extend(instance.reward(context, a, rng) for a in range(context.n_actions))
         seen = n
-        yield ridge_fit(InteractionDataset(instance.d, records), lambda_reg)
+        yield ridge_fit_arrays(np.vstack(blocks), np.array(rewards, dtype=np.float64),
+                               lambda_reg)

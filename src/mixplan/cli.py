@@ -136,6 +136,10 @@ def _load_estimate(path) -> RidgeEstimate:
     n_samples = scalar(payload, "n_samples", int)
     cov = RegularizedCovariance.from_state(sigma, scalar(payload, "lambda_reg", float),
                                            alpha=1.0, update_count=n_samples)
+    try:
+        cov.factor()
+    except np.linalg.LinAlgError:
+        raise ConfigurationError(f"{path}: sigma is not positive definite") from None
     return RidgeEstimate(theta_hat=theta_hat, sigma_prime_n=cov, n_samples=n_samples)
 
 

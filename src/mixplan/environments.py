@@ -362,6 +362,10 @@ def build_rank_contexts(groups: Sequence[QueryGroup], spec: RankDatasetSpec,
     return contexts
 
 
+#: The split files of a ranking directory, in (train, valid, test) order.
+SPLIT_FILES = ("train.txt", "valid.txt", "test.txt")
+
+
 def ingest_rank_dataset(path, spec: RankDatasetSpec = RankDatasetSpec(),
                         seed: int = 0,
                         subsample_indices: Optional[np.ndarray] = None) -> RankIngest:
@@ -385,7 +389,7 @@ def ingest_rank_dataset(path, spec: RankDatasetSpec = RankDatasetSpec(),
         if not train_file.exists():
             raise ConfigurationError(f"directory {path} has no train.txt")
         splits = []
-        for name in ("train.txt", "valid.txt", "test.txt"):
+        for name in SPLIT_FILES:
             file = path / name
             if file.exists():
                 groups = parse_rank_file(file)

@@ -6,6 +6,12 @@ branches, and Monte-Carlo estimates the expected maximum uncertainty,
 policy value, and suboptimality of the extracted greedy policy over a
 held-out context set. Every application of the inverse covariance goes
 through a factorization solve.
+
+Evaluation runs in blocks: contexts with the same number of actions are
+stacked into (g, A, d) arrays of about ``_BLOCK_FLOATS`` floats, and each
+block takes one stacked score product and one triangular solve (contexts
+with a single action keep one solve each). Every output is bit-identical to
+scoring and solving one context at a time.
 """
 
 from __future__ import annotations
@@ -91,22 +97,30 @@ def ridge_fit(dataset: InteractionDataset, lambda_reg: float) -> RidgeEstimate:
 
     An empty dataset is allowed and yields theta_hat = 0, the ridge solution.
     """
+    return ridge_fit_arrays(dataset.feature_matrix(), dataset.rewards(), lambda_reg)
+
+
+def ridge_fit_arrays(features: np.ndarray, rewards: np.ndarray,
+                     lambda_reg: float) -> RidgeEstimate:
+    """``ridge_fit`` on an (n, d) feature matrix and its n rewards.
+
+    Prefix slices ``features[:n]``, ``rewards[:n]`` of one stacked dataset
+    give the same bits as ``ridge_fit`` on a dataset of its first n records.
+    """
     if lambda_reg <= 0:
         raise ConfigurationError("lambda_reg must be positive")
-    d = dataset.d
+    n, d = features.shape
     cov = RegularizedCovariance(d, lambda_reg, alpha=1.0, norm_cap=None)
-    if len(dataset) == 0:
+    if n == 0:
         return RidgeEstimate(theta_hat=np.zeros(d), sigma_prime_n=cov, n_samples=0)
-    rewards = dataset.rewards()
     if not np.isfinite(rewards).all():
         raise DataError("non-finite rewards in dataset")
-    features = dataset.feature_matrix()
     if not np.isfinite(features).all():
         raise DataError("non-finite features in dataset")
     cov.rank_one_update_many(features)
     rhs = features.T @ rewards
     theta = cho_solve(cho_factor(cov.matrix, lower=True), rhs)
-    return RidgeEstimate(theta_hat=theta, sigma_prime_n=cov, n_samples=len(dataset))
+    return RidgeEstimate(theta_hat=theta, sigma_prime_n=cov, n_samples=n)
 
 
 def greedy_action(estimate: RidgeEstimate, context: Context) -> int:
@@ -164,11 +178,8 @@ def evaluate(estimate: RidgeEstimate, instance: BanditInstance,
         raise ContractViolation(
             "evaluation against theta_star requires a linear instance"
         )
-    if any(context.d != estimate.d for context in eval_contexts):
-        raise ContractViolation("evaluation context dimension mismatch")
     theta_star = instance.theta_star
-    return evaluate_values(estimate, eval_contexts,
-                           [context.features @ theta_star for context in eval_contexts])
+    return _evaluate_blocks(estimate, eval_contexts, lambda block, feats: feats @ theta_star)
 
 
 def evaluate_values(estimate: RidgeEstimate, eval_contexts: Sequence[Context],
@@ -176,18 +187,56 @@ def evaluate_values(estimate: RidgeEstimate, eval_contexts: Sequence[Context],
     """``evaluate`` against given true values: ``true_values[i]`` holds the
     value of every action of ``eval_contexts[i]`` (theta_star scores, or
     recorded relevance labels for a data-driven instance)."""
+    return _evaluate_blocks(estimate, eval_contexts,
+                            lambda block, feats: np.stack([true_values[i] for i in block]))
+
+
+#: Feature floats stacked into one evaluation block (2**16 float64, 512 KiB).
+_BLOCK_FLOATS = 1 << 16
+
+
+def _context_blocks(contexts: Sequence[Context], d: int):
+    """Yield (indices, features): contexts with the same action count A,
+    their feature rows stacked into a (g, A, d) array of about
+    ``_BLOCK_FLOATS`` floats."""
+    by_actions: dict[int, list[int]] = {}
+    for i, context in enumerate(contexts):
+        if context.d != d:
+            raise ContractViolation("evaluation context dimension mismatch")
+        by_actions.setdefault(context.n_actions, []).append(i)
+    for n_actions, indices in by_actions.items():
+        step = max(1, _BLOCK_FLOATS // (n_actions * d))
+        for start in range(0, len(indices), step):
+            block = indices[start:start + step]
+            yield block, np.stack([contexts[i].features for i in block])
+
+
+def _evaluate_blocks(estimate: RidgeEstimate, eval_contexts: Sequence[Context],
+                     true_scores) -> EvaluationReport:
+    """The evaluation loop of ``evaluate`` and ``evaluate_values``;
+    ``true_scores(indices, features)`` gives a block's (g, A) true values."""
     if not eval_contexts:
         raise ConfigurationError("evaluation context set is empty")
-    gaps = np.empty(len(eval_contexts))
-    values = np.empty(len(eval_contexts))
-    uncertainties = np.empty(len(eval_contexts))
-    for i, context in enumerate(eval_contexts):
-        true_scores = true_values[i]
-        chosen = greedy_action(estimate, context)
-        values[i] = true_scores[chosen]
-        gaps[i] = float(true_scores.max()) - values[i]
-        uncertainties[i] = float(estimate.sigma_prime_n.mahalanobis_rows(context.features).max())
     n = len(eval_contexts)
+    gaps = np.empty(n)
+    values = np.empty(n)
+    uncertainties = np.empty(n)
+    cov = estimate.sigma_prime_n
+    for block, feats in _context_blocks(eval_contexts, estimate.d):
+        g, n_actions, d = feats.shape
+        # A stacked product scores each (A, d) matrix on its own, bit for bit
+        # like one context at a time; a flattened (g*A, d) product does not.
+        chosen = np.argmax(feats @ estimate.theta_hat, axis=1)
+        true = true_scores(block, feats)
+        values[block] = true[np.arange(g), chosen]
+        gaps[block] = true.max(axis=1) - values[block]
+        if n_actions == 1:
+            # A one-column triangular solve takes another BLAS path than a
+            # column of a wider solve, and its last bits differ.
+            uncertainties[block] = [cov.mahalanobis_rows(rows)[0] for rows in feats]
+        else:
+            norms = cov.mahalanobis_rows(feats.reshape(g * n_actions, d))
+            uncertainties[block] = norms.reshape(g, n_actions).max(axis=1)
     scale = math.sqrt(n) if n > 1 else 1.0
     return EvaluationReport(
         expected_max_uncertainty=float(uncertainties.mean()),

@@ -4,11 +4,11 @@ Runs multi-seed trials of one (environment, algorithm) pair and emits
 metric rows plus a summary with mean and standard error across trials.
 A trial generates or ingests the environment, plans the collection policy
 on an independent offline context stream, collects all of its online data
-in one ``sample`` call, and then, at every evaluation point n, ridge-fits
-the first n records and evaluates the extracted greedy policy. The
-supervised oracle takes the place of the last two steps with
-``baselines.oracle_fits``, which fits the full feedback of the first n
-contexts.
+in one ``sample`` call, stacks it into one feature matrix, and then, at
+every evaluation point n, ridge-fits the first n rows of that matrix and
+evaluates the extracted greedy policy. The supervised oracle takes the
+place of the last two steps with ``baselines.oracle_fits``, which fits the
+full feedback of the first n contexts.
 
 Each trial owns one master seed, split deterministically into environment,
 offline-stream, online-stream, policy, and evaluation streams. The online
@@ -48,8 +48,15 @@ from .core import (
     ExperimentConfig,
     InteractionDataset,
 )
-from .estimator import EvaluationReport, RidgeEstimate, evaluate, evaluate_values, ridge_fit
+from .estimator import (
+    EvaluationReport,
+    RidgeEstimate,
+    evaluate,
+    evaluate_values,
+    ridge_fit_arrays,
+)
 from .environments import (
+    SPLIT_FILES,
     RankDatasetSpec,
     RankedContext,
     generate_standin_file,
@@ -255,10 +262,18 @@ _INGEST_CACHE: dict = {}
 
 
 def _cached_ingest(data_path: str, spec: RankDatasetSpec, seed: int):
-    key = (str(data_path), spec, seed)
-    if key not in _INGEST_CACHE:
-        _INGEST_CACHE[key] = ingest_rank_dataset(data_path, spec, seed)
-    return _INGEST_CACHE[key]
+    """Ingest once per process while the input stays the same: an entry is
+    reused only while the modification time and size of the ranking file,
+    or of each split file of a ranking directory, are unchanged."""
+    path = Path(data_path).resolve()
+    files = [path / name for name in SPLIT_FILES] if path.is_dir() else [path]
+    stamp = tuple((f.stat().st_mtime_ns, f.stat().st_size) if f.exists() else None
+                  for f in files)
+    key = (path, spec, seed)
+    cached = _INGEST_CACHE.get(key)
+    if cached is None or cached[0] != stamp:
+        cached = _INGEST_CACHE[key] = (stamp, ingest_rank_dataset(data_path, spec, seed))
+    return cached[1]
 
 
 def _collection_policy(config: RunConfig, env: _TrialEnv):
@@ -307,7 +322,8 @@ def run_trial(config: RunConfig, trial: int) -> list[MetricRow]:
     else:
         dataset = sample(policy, env.instance, env.horizon, stream_rng,
                          policy_rng=np.random.default_rng(s_policy))
-        estimates = (ridge_fit(InteractionDataset(dataset.d, dataset[:n]), config.lambda_reg)
+        features, rewards = dataset.feature_matrix(), dataset.rewards()
+        estimates = (ridge_fit_arrays(features[:n], rewards[:n], config.lambda_reg)
                      for n in points)
     rows: list[MetricRow] = []
     for n, estimate in zip(points, estimates):

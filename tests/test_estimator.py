@@ -1,8 +1,13 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mixplan.estimator as estimator_module
 
 from mixplan import (
     BanditInstance,
@@ -11,12 +16,15 @@ from mixplan import (
     DataError,
     InteractionDataset,
     InteractionRecord,
+    Context,
+    EvaluationReport,
     RidgeEstimate,
     beta_radius,
     evaluate,
     greedy_action,
     ridge_fit,
 )
+from mixplan.estimator import evaluate_values, ridge_fit_arrays
 
 from conftest import make_context, unit_ball_contexts
 
@@ -243,3 +251,80 @@ def test_report_serializes_with_config_echo(rng):
     assert payload["config"] == {"seed": 3}
     assert payload["n_eval_contexts"] == 10
     assert "expected_max_uncertainty" in payload
+
+
+def _reference_report(estimate, contexts, true_values):
+    """Evaluation one context at a time: greedy_action, the true scores of
+    the context and one mahalanobis_rows call on its feature rows."""
+    n = len(contexts)
+    gaps, values, uncertainties = np.empty(n), np.empty(n), np.empty(n)
+    for i, context in enumerate(contexts):
+        true_scores = true_values[i]
+        chosen = greedy_action(estimate, context)
+        values[i] = true_scores[chosen]
+        gaps[i] = float(true_scores.max()) - values[i]
+        uncertainties[i] = float(estimate.sigma_prime_n.mahalanobis_rows(context.features).max())
+    scale = math.sqrt(n) if n > 1 else 1.0
+    return EvaluationReport(
+        expected_max_uncertainty=float(uncertainties.mean()),
+        expected_suboptimality=float(gaps.mean()),
+        policy_value=float(values.mean()),
+        n_eval_contexts=n,
+        suboptimality_stderr=float(gaps.std(ddof=1) / scale) if n > 1 else 0.0,
+        policy_value_stderr=float(values.std(ddof=1) / scale) if n > 1 else 0.0,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 30),
+    action_counts=st.lists(st.integers(1, 12), min_size=1, max_size=40),
+    tied=st.booleans(),
+    block_floats=st.sampled_from([1, 7, 64, 500, estimator_module._BLOCK_FLOATS]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_evaluation_matches_per_context_loop(d, action_counts, tied, block_floats, seed):
+    # Block sizes from one context per block up to the module default, so
+    # sets with mixed action counts span several blocks per group.
+    rng = np.random.default_rng(seed)
+    contexts = [Context(f"c{i}", rng.normal(size=(a, d))) for i, a in enumerate(action_counts)]
+    fit = ridge_fit(_dataset(rng.normal(size=(3 * d, d)), rng.normal(size=3 * d)), 0.7)
+    theta_hat = np.zeros(d) if tied else fit.theta_hat
+    estimate = RidgeEstimate(theta_hat, fit.sigma_prime_n, fit.n_samples)
+    theta_star = rng.normal(size=d)
+    instance = _instance_with_contexts(theta_star, contexts)
+    labels = [rng.integers(0, 3, size=c.n_actions).astype(np.float64) for c in contexts]
+    with mock.patch.object(estimator_module, "_BLOCK_FLOATS", block_floats):
+        report = evaluate(estimate, instance, contexts)
+        labelled = evaluate_values(estimate, contexts, labels)
+    expected = _reference_report(estimate, contexts, [c.features @ theta_star for c in contexts])
+    for field in EvaluationReport.__dataclass_fields__:
+        assert getattr(report, field) == getattr(expected, field), field
+    expected = _reference_report(estimate, contexts, labels)
+    for field in EvaluationReport.__dataclass_fields__:
+        assert getattr(labelled, field) == getattr(expected, field), field
+    if tied:  # every score is 0, so the greedy policy takes action 0
+        assert labelled.policy_value == float(np.mean([label[0] for label in labels]))
+
+
+def test_evaluate_rejects_mismatched_context_dimension():
+    estimate = ridge_fit(InteractionDataset(2), 1.0)
+    contexts = [make_context([[1.0, 0.0]]), make_context([[1.0, 0.0, 0.0]])]
+    with pytest.raises(ContractViolation):
+        evaluate(estimate, _instance_with_contexts(np.ones(2), contexts), contexts)
+    with pytest.raises(ContractViolation):
+        evaluate_values(estimate, contexts, [np.zeros(1), np.zeros(1)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 30), total=st.integers(1, 80), data=st.data())
+def test_prefix_slice_fit_equals_ridge_fit_on_prefix_dataset(d, total, data):
+    n = data.draw(st.integers(0, total))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dataset = _dataset(rng.normal(size=(total, d)), rng.normal(size=total))
+    features, rewards = dataset.feature_matrix(), dataset.rewards()
+    sliced = ridge_fit_arrays(features[:n], rewards[:n], 0.5)
+    direct = ridge_fit(InteractionDataset(d, dataset[:n]), 0.5)
+    assert sliced.theta_hat.tobytes() == direct.theta_hat.tobytes()
+    assert sliced.sigma_prime_n.matrix.tobytes() == direct.sigma_prime_n.matrix.tobytes()
+    assert sliced.n_samples == direct.n_samples == n

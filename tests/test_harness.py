@@ -14,6 +14,9 @@ from mixplan import (
 )
 from mixplan.baselines import RandomPolicy
 from mixplan.cli import main as cli_main
+from mixplan import harness
+from mixplan.artifact import write_artifact
+from mixplan.environments import generate_standin_file
 from mixplan.harness import _eval_points, _prepare_trial_env, run_trial
 
 
@@ -157,6 +160,37 @@ def test_stand_in_default_file_is_keyed_by_generator_parameters(tmp_path, monkey
     assert ingested[20][0] != ingested[35][0]
     assert ingested[20][1] == 20
     assert ingested[35][1] == 35
+
+
+@pytest.mark.parametrize("layout", ["file", "directory"])
+def test_ingest_cache_rereads_a_regenerated_file(tmp_path, monkeypatch, layout):
+    # A ranking file rewritten at the same path within one process must be
+    # ingested again, not served from the previous file's cache entry; for
+    # a directory of splits, rewriting train.txt leaves the directory's own
+    # modification time alone.
+    data_path = tmp_path / "ranking.txt"
+    ranking_file = data_path
+    if layout == "directory":
+        data_path = tmp_path / "ranking"
+        data_path.mkdir()
+        ranking_file = data_path / "train.txt"
+
+    def run(label):
+        result = run_experiment(RunConfig(
+            environment="rank_dataset", algorithm="random", N=20, n_trials=1,
+            eval_every=10, seed=3, rank_raw_dim=30, rank_subsampled_dim=12,
+            data_path=str(data_path), output_path=str(tmp_path / label),
+        ))
+        return result.metrics_path.read_bytes()
+
+    generate_standin_file(ranking_file, n_queries=40, seed=1, raw_dim=30)
+    first = run("first")
+    generate_standin_file(ranking_file, n_queries=40, seed=2, raw_dim=30)
+    second = run("second")
+    monkeypatch.setattr(harness, "_INGEST_CACHE", {})
+    fresh = run("fresh")
+    assert second == fresh
+    assert second != first
 
 
 def test_lambda_sweep_emits_one_metrics_file_per_value(tmp_path):
@@ -371,6 +405,21 @@ def test_cli_maps_typed_errors_to_exit_2(tmp_path, capsys):
     bad_csv.write_text("not,a,dataset\n")
     assert cli_main(["fit", "--dataset", str(bad_csv), "--out", str(tmp_path / "e.npz")]) == 2
     assert capsys.readouterr().err.count("error:") == 2
+
+
+def test_cli_eval_rejects_sigma_not_positive_definite(tmp_path, capsys):
+    # A well-formed estimate whose sigma is finite but singular (zero at d=20).
+    estimate_path = tmp_path / "estimate.npz"
+    write_artifact(
+        estimate_path, "ridge-estimate", 2,
+        theta_hat=np.zeros(20), sigma=np.zeros((20, 20)),
+        lambda_reg=np.array(1.0), n_samples=np.array(0),
+    )
+    assert cli_main(["eval", "--env", "synthetic", "--estimate", str(estimate_path),
+                     "--n-eval", "5", "--out", str(tmp_path / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "positive definite" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("text, message", [
