@@ -20,7 +20,7 @@ from .core import (
     reward_draw,
 )
 from .covariance import CovarianceSnapshot, RegularizedCovariance
-from .planner import MixturePolicy, UncertaintyTrace, plan, policy_action, switch_count_budget
+from .planner import MixturePolicy, UncertaintyTrace, plan, switch_count_budget
 from .sampler import (
     dataset_from_csv,
     dataset_from_npz,
@@ -40,7 +40,6 @@ from .estimator import (
 from .environments import (
     RankDatasetSpec,
     RankedContext,
-    SyntheticSpec,
     generate_standin_file,
     ingest_rank_dataset,
     make_hard_goptimal,
@@ -50,15 +49,7 @@ from .environments import (
     make_rank_instance,
     make_synthetic,
 )
-from .baselines import (
-    LargestNormPolicy,
-    RandomPolicy,
-    SingleActionPolicy,
-    largest_norm_action,
-    oracle_fits,
-    random_policy_action,
-    single_action,
-)
+from .baselines import LargestNormPolicy, RandomPolicy, SingleActionPolicy, oracle_fits
 from .concentration import (
     BernoulliChain,
     CoverageReport,

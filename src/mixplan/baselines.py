@@ -1,11 +1,11 @@
 """Non-reactive comparison strategies: random, largest-norm, single-action,
 and the full-feedback supervised oracle.
 
-The three policies share the mixture policy's ``action(context, rng)``
-interface, so ``sample`` collects their data like the planner's, and none of
-them can read a reward. The oracle is no policy: ``oracle_fits`` observes the
-reward of every action of each context and yields ridge fits on growing
-prefixes of that full feedback.
+The three policies are classes whose one entry point is the mixture
+policy's ``action(context, rng)`` method, so ``sample`` collects their data
+like the planner's, and none of them can read a reward. The oracle is no
+policy: ``oracle_fits`` observes the reward of every action of each context
+and yields ridge fits on growing prefixes of that full feedback.
 """
 
 from __future__ import annotations
@@ -21,49 +21,34 @@ from .estimator import RidgeEstimate, ridge_fit_arrays
 logger = logging.getLogger(__name__)
 
 
-def random_policy_action(context: Context, rng: np.random.Generator) -> int:
-    """Uniform over the context's available actions."""
-    return int(rng.integers(context.n_actions))
-
-
-def largest_norm_action(context: Context) -> int:
-    """argmax of the Euclidean feature norm; ties break to the lowest index."""
-    return int(np.argmax(np.linalg.norm(context.features, axis=1)))
-
-
-def single_action(context: Context, fixed_index: int) -> int:
-    """Always the fixed index, clamped to the last available action if needed."""
-    if fixed_index >= context.n_actions:
-        logger.warning(
-            "fixed action %d unavailable in context %s; clamping to %d",
-            fixed_index, context.context_id, context.n_actions - 1,
-        )
-        return context.n_actions - 1
-    if fixed_index < 0:
-        logger.warning(
-            "fixed action %d unavailable in context %s; clamping to 0",
-            fixed_index, context.context_id,
-        )
-        return 0
-    return fixed_index
-
-
 class RandomPolicy:
+    """Uniform over the context's available actions."""
+
     def action(self, context: Context, rng: np.random.Generator) -> int:
-        return random_policy_action(context, rng)
+        return int(rng.integers(context.n_actions))
 
 
 class LargestNormPolicy:
+    """argmax of the Euclidean feature norm; ties break to the lowest index."""
+
     def action(self, context: Context, rng: np.random.Generator) -> int:
-        return largest_norm_action(context)
+        return int(np.argmax(np.linalg.norm(context.features, axis=1)))
 
 
 class SingleActionPolicy:
+    """Always the fixed index, clamped to the available actions if needed."""
+
     def __init__(self, fixed_index: int = 0):
         self.fixed_index = int(fixed_index)
 
     def action(self, context: Context, rng: np.random.Generator) -> int:
-        return single_action(context, self.fixed_index)
+        clamped = min(max(self.fixed_index, 0), context.n_actions - 1)
+        if clamped != self.fixed_index:
+            logger.warning(
+                "fixed action %d unavailable in context %s; clamping to %d",
+                self.fixed_index, context.context_id, clamped,
+            )
+        return clamped
 
 
 def oracle_fits(instance: BanditInstance, points: Sequence[int], lambda_reg: float,

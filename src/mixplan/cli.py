@@ -21,6 +21,7 @@ from .core import (
 )
 from .covariance import RegularizedCovariance
 from .environments import (
+    SPLIT_FILES,
     RankDatasetSpec,
     generate_standin_file,
     ingest_rank_dataset,
@@ -72,8 +73,7 @@ def _build_env(args):
 def _cmd_plan(args) -> int:
     instance, pool, norm_cap = _build_env(args)
     config = ExperimentConfig(M=args.M, N=args.N or args.M, lambda_reg=args.lambda_reg,
-                              alpha=args.alpha, delta=args.delta, epsilon=args.epsilon,
-                              seed=args.seed)
+                              alpha=args.alpha)
     if pool is None:
         rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(0,)))
         contexts = [instance.context_sampler(rng) for _ in range(config.M)]
@@ -83,7 +83,7 @@ def _cmd_plan(args) -> int:
                 f"offline pool has only {len(pool)} contexts, M={config.M}"
             )
         contexts = pool[: config.M]
-    policy, trace = plan(contexts, config, norm_cap=norm_cap)
+    policy, _ = plan(contexts, config, norm_cap=norm_cap)
     policy.save(args.out)
     print(f"planned M={config.M} steps, {policy.snapshot_count} snapshot policies -> {args.out}")
     return 0
@@ -135,7 +135,7 @@ def _load_estimate(path) -> RidgeEstimate:
         )
     n_samples = scalar(payload, "n_samples", int)
     cov = RegularizedCovariance.from_state(sigma, scalar(payload, "lambda_reg", float),
-                                           alpha=1.0, update_count=n_samples)
+                                           update_count=n_samples)
     try:
         cov.factor()
     except np.linalg.LinAlgError:
@@ -201,7 +201,7 @@ def _cmd_gen_standin(args) -> int:
     out = Path(args.out)
     if args.splits:
         out.mkdir(parents=True, exist_ok=True)
-        for i, name in enumerate(("train.txt", "valid.txt", "test.txt")):
+        for i, name in enumerate(SPLIT_FILES):
             generate_standin_file(out / name, n_queries=args.queries,
                                   seed=args.seed + i, raw_dim=args.raw_dim)
         print(f"stand-in splits -> {out}/")
@@ -260,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=None, help="online budget (defaults to M)")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--lambda-reg", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_plan)
 

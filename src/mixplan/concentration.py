@@ -21,6 +21,13 @@ from .covariance import RegularizedCovariance
 from .planner import MixturePolicy, plan, switch_count_budget
 from .sampler import sample
 
+#: Slack on the squared elliptical-potential bound.
+POTENTIAL_TOL = 1e-8
+#: Slack on the minimum eigenvalue of each covariance sandwich PSD order.
+SANDWICH_TOL = 1e-6
+#: Iteration cap of the offline context requirement's fixed point.
+_REQUIREMENT_ROUNDS = 200
+
 
 # ---------------------------------------------------------------------------
 # Bound calculators
@@ -234,8 +241,7 @@ class PotentialCheck:
         }
 
 
-def potential_check(vectors: np.ndarray, lambda_reg: float,
-                    tol: float = 1e-8) -> PotentialCheck:
+def potential_check(vectors: np.ndarray, lambda_reg: float) -> PotentialCheck:
     """Run the doubling schedule over the vectors and check the potential bound.
 
     lhs = sum of squared snapshot-metric norms of the vectors, rhs = 3 times
@@ -269,7 +275,7 @@ def potential_check(vectors: np.ndarray, lambda_reg: float,
         lhs_squared=lhs_squared,
         lhs_unsquared=lhs_unsquared,
         rhs=rhs,
-        passed=lhs_squared <= rhs + tol,
+        passed=lhs_squared <= rhs + POTENTIAL_TOL,
     )
 
 
@@ -307,8 +313,7 @@ def online_regularization_requirement(d: int, delta: float) -> float:
     return 24.0 * math.log(8.0 * d / delta)
 
 
-def offline_context_requirement(d: int, N: int, lambda_reg: float, delta: float,
-                                max_rounds: int = 200) -> int:
+def offline_context_requirement(d: int, N: int, lambda_reg: float, delta: float) -> int:
     """Fixed point of M >= (96 K N / lambda) ln(192 d N K / (lambda delta)).
 
     K is itself the switch budget at M, so the requirement is solved by
@@ -317,7 +322,7 @@ def offline_context_requirement(d: int, N: int, lambda_reg: float, delta: float,
     """
     _check_delta(delta)
     M = 1.0
-    for _ in range(max_rounds):
+    for _ in range(_REQUIREMENT_ROUNDS):
         K = max(1.0, d * math.log2(1.0 + M / (d * lambda_reg)))
         target = (96.0 * K * N / lambda_reg) * math.log(
             192.0 * d * N * K / (lambda_reg * delta)
@@ -348,14 +353,13 @@ class SandwichResult:
 
 
 def sandwich_check(instance: BanditInstance, config: ExperimentConfig, trials: int,
-                   seed: int, n_expectation_contexts: int = 128, tol: float = 1e-6,
-                   norm_cap: float | None = 1.0) -> SandwichResult:
+                   seed: int, n_expectation_contexts: int = 128) -> SandwichResult:
     """Monte-Carlo check of the offline and online covariance bounds.
 
     Per trial, runs the planner and sampler, forms the conditional expected
     covariance by replaying each snapshot policy on fresh contexts, and
-    tests the PSD orderings (2 SigmaBar - Sigma_M >= -tol) and
-    (9 Sigma'_N - SigmaBar >= -tol) by minimum eigenvalue. Violation
+    tests the PSD orderings (2 SigmaBar - Sigma_M >= -SANDWICH_TOL) and
+    (9 Sigma'_N - SigmaBar >= -SANDWICH_TOL) by minimum eigenvalue. Violation
     frequencies are compared against delta/4 per side. For instances whose
     per-step conditional context law is a point mass the replay estimate of
     SigmaBar is exact regardless of n_expectation_contexts.
@@ -372,9 +376,9 @@ def sandwich_check(instance: BanditInstance, config: ExperimentConfig, trials: i
             np.random.default_rng(s) for s in child.spawn(3)
         )
         contexts = [instance.context_sampler(rng_offline) for _ in range(config.M)]
-        policy, trace = plan(contexts, config, norm_cap=norm_cap)
+        policy, _ = plan(contexts, config)
 
-        chosen = trace.chosen_features
+        chosen = policy.features
         sigma_m = lam * eye + alpha * (chosen.T @ chosen)
 
         sigma_bar = lam * eye.copy()
@@ -388,13 +392,13 @@ def sandwich_check(instance: BanditInstance, config: ExperimentConfig, trials: i
             expected /= n_expectation_contexts
             sigma_bar += alpha * float(lengths[k]) * expected
 
-        if float(np.linalg.eigvalsh(2.0 * sigma_bar - sigma_m).min()) < -tol:
+        if float(np.linalg.eigvalsh(2.0 * sigma_bar - sigma_m).min()) < -SANDWICH_TOL:
             offline_violations += 1
 
         dataset = sample(policy, instance, config.N, rng_online)
         feats = dataset.feature_matrix()
         sigma_n = lam * eye + feats.T @ feats
-        if float(np.linalg.eigvalsh(9.0 * sigma_n - sigma_bar).min()) < -tol:
+        if float(np.linalg.eigvalsh(9.0 * sigma_n - sigma_bar).min()) < -SANDWICH_TOL:
             online_violations += 1
 
     quarter = config.delta / 4.0
@@ -449,17 +453,16 @@ def verify_lemmas(seed: int = 0, coverage_trials: int = 4000, sandwich_trials: i
     potential_failures = 0
     switch_failures = 0
     worst_margin = math.inf
-    for run in range(planner_runs):
+    for _ in range(planner_runs):
         d = int(rng.integers(2, 9))
         lam = float(rng.choice([1.0, 2.0, 5.0]))
         M = int(rng.integers(50, 400))
         instance = make_random_unit_instance(d, n_actions=5, seed=int(rng.integers(2**31)))
-        config = ExperimentConfig(M=M, N=M, lambda_reg=lam, alpha=1.0,
-                                  delta=0.05, epsilon=0.1, seed=run)
+        config = ExperimentConfig(M=M, N=M, lambda_reg=lam, alpha=1.0)
         stream_rng = np.random.default_rng(int(rng.integers(2**31)))
         contexts = [instance.context_sampler(stream_rng) for _ in range(M)]
-        policy, trace = plan(contexts, config)
-        check = potential_check(math.sqrt(config.alpha) * trace.chosen_features, lam)
+        policy, _ = plan(contexts, config)
+        check = potential_check(math.sqrt(config.alpha) * policy.features, lam)
         potential_failures += 0 if check.passed else 1
         switch = switch_bound_check(policy, config)
         switch_failures += 0 if switch.passed else 1
@@ -478,7 +481,7 @@ def verify_lemmas(seed: int = 0, coverage_trials: int = 4000, sandwich_trials: i
     lam = online_regularization_requirement(d, delta)
     N = 50
     M = offline_context_requirement(d, N, lam, delta)
-    config = ExperimentConfig(M=M, N=N, lambda_reg=lam, delta=delta, epsilon=0.1, seed=seed)
+    config = ExperimentConfig(M=M, N=N, lambda_reg=lam, delta=delta)
     sandwich = sandwich_check(make_hard_uniform(10), config, sandwich_trials, seed + 4,
                               n_expectation_contexts=4)
     report["sandwich"] = sandwich.to_json_dict()
@@ -488,8 +491,7 @@ def verify_lemmas(seed: int = 0, coverage_trials: int = 4000, sandwich_trials: i
 
     # Below the regularization threshold the sandwich is expected to break;
     # observed rates are reported, not asserted.
-    weak = ExperimentConfig(M=400, N=100, lambda_reg=0.05, delta=delta,
-                            epsilon=0.1, seed=seed)
+    weak = ExperimentConfig(M=400, N=100, lambda_reg=0.05, delta=delta)
     loose = sandwich_check(make_hard_nonconcentrating(d=6, M=400), weak,
                            max(10, sandwich_trials // 2), seed + 5,
                            n_expectation_contexts=64)

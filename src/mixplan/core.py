@@ -188,11 +188,13 @@ class InteractionDataset:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs shared by the offline and online phases.
+    """The exploration settings shared by the offline and online phases.
 
+    ``M``, ``N``, ``lambda_reg`` and ``alpha`` fix the mixture policy.
     ``alpha`` is the discount on offline rank-one covariance updates and
     defaults to N/M, so that M = N/alpha offline contexts emulate N online
-    samples.
+    samples. ``delta`` is the failure probability that sizes the theory's
+    requirements; only the covariance sandwich check reads it.
     """
 
     M: int
@@ -200,8 +202,6 @@ class ExperimentConfig:
     lambda_reg: float = 1.0
     alpha: Optional[float] = None
     delta: float = 0.05
-    epsilon: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         if self.M < 1:
@@ -212,8 +212,6 @@ class ExperimentConfig:
             raise ConfigurationError("lambda_reg must be positive")
         if not 0 < self.delta < 1:
             raise ConfigurationError("delta must lie in (0, 1)")
-        if self.epsilon <= 0:
-            raise ConfigurationError("epsilon must be positive")
         if self.alpha is None:
             if self.N > self.M:
                 raise ConfigurationError("alpha defaults to N/M, which requires N <= M")

@@ -122,12 +122,13 @@ class RegularizedCovariance:
         self._snapshots_taken = 0
 
     @classmethod
-    def from_state(cls, matrix: np.ndarray, lambda_reg: float, alpha: float = 1.0,
-                   update_count: int = 0,
-                   norm_cap: float | None = None) -> "RegularizedCovariance":
-        """Rebuild a covariance from a serialized matrix (regularization included)."""
+    def from_state(cls, matrix: np.ndarray, lambda_reg: float,
+                   update_count: int = 0) -> "RegularizedCovariance":
+        """Rebuild a cumulative covariance (alpha = 1, no norm gate) from its
+        matrix, regularization included; the matrix is symmetrized as
+        (M + M^T) / 2 and factored on first use."""
         matrix = np.asarray(matrix, dtype=np.float64)
-        cov = cls(matrix.shape[0], lambda_reg, alpha, norm_cap=norm_cap)
+        cov = cls(matrix.shape[0], lambda_reg, 1.0, norm_cap=None)
         cov.matrix = (matrix + matrix.T) * 0.5
         cov.update_count = int(update_count)
         cov._dirty = True
@@ -161,25 +162,6 @@ class RegularizedCovariance:
         # sum stays exactly symmetric without a symmetrizing copy.
         self.matrix += self.alpha * np.outer(phi, phi)
         self.update_count += 1
-        self._dirty = True
-        return self
-
-    def rank_one_update_many(self, features: np.ndarray) -> "RegularizedCovariance":
-        """Bulk equivalent of repeated ``rank_one_update`` (same gate per row)."""
-        rows = _check_rows(features, self.d)
-        if rows.shape[0] == 0:
-            return self
-        if self.norm_cap is not None:
-            norms = np.linalg.norm(rows, axis=1)
-            worst = float(norms.max())
-            if worst > self.norm_cap + NORM_TOLERANCE:
-                raise ContractViolation(
-                    f"feature norm {worst:.6g} exceeds cap {self.norm_cap:.6g}; "
-                    "rescale at ingestion instead"
-                )
-        self.matrix = self.matrix + self.alpha * (rows.T @ rows)
-        self.matrix = (self.matrix + self.matrix.T) * 0.5
-        self.update_count += rows.shape[0]
         self._dirty = True
         return self
 

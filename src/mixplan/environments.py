@@ -31,22 +31,19 @@ from .core import (
     ParseError,
 )
 
+# Constants of the category-structured synthetic instance. A spiked row has
+# variance _SPIKE_VARIANCE (_SHARED_ACTION_VARIANCE on the shared actions) at
+# its spike coordinate and _FLOOR_VARIANCE on every other coordinate.
+_SYNTHETIC_D = 20
+_SYNTHETIC_ACTIONS = 10
+_SYNTHETIC_CATEGORIES = 3
 _SHARED_ACTIONS = (4, 5)
+_SPIKE_VARIANCE = 1.0
+_SHARED_ACTION_VARIANCE = 5.0
+_FLOOR_VARIANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Constants of the category-structured synthetic instance."""
-
-    d: int = 20
-    n_actions: int = 10
-    n_categories: int = 3
-    spike_variance: float = 1.0
-    floor_variance: float = 1e-9
-    shared_action_variance: float = 5.0
-
-
-def synthetic_action_layout(spec: SyntheticSpec = SyntheticSpec()) -> dict:
+def synthetic_action_layout() -> dict:
     """Which action carries which variance spike, per category.
 
     Category c owns action c, whose spike sits at coordinate 0. Two further
@@ -55,9 +52,9 @@ def synthetic_action_layout(spec: SyntheticSpec = SyntheticSpec()) -> dict:
     Actions 4 and 5 are shared by all categories and spike at the last
     coordinate. Remaining actions have identically zero features.
     """
-    pool = [a for a in range(spec.n_actions) if a not in _SHARED_ACTIONS]
+    pool = [a for a in range(_SYNTHETIC_ACTIONS) if a not in _SHARED_ACTIONS]
     layout = {}
-    for c in range(spec.n_categories):
+    for c in range(_SYNTHETIC_CATEGORIES):
         extras = (
             pool[(2 * (c + 1)) % len(pool)],
             pool[(2 * (c + 1) + 1) % len(pool)],
@@ -65,12 +62,12 @@ def synthetic_action_layout(spec: SyntheticSpec = SyntheticSpec()) -> dict:
         layout[c] = {
             "own": (c, 0),
             "extras": tuple(zip(extras, (2 * c + 1, 2 * c + 2))),
-            "shared": tuple((a, spec.d - 1) for a in _SHARED_ACTIONS),
+            "shared": tuple((a, _SYNTHETIC_D - 1) for a in _SHARED_ACTIONS),
         }
     return layout
 
 
-def make_synthetic(seed: int, spec: SyntheticSpec = SyntheticSpec()) -> BanditInstance:
+def make_synthetic(seed: int) -> BanditInstance:
     """Synthetic instance: three equiprobable context categories, sparse spikes.
 
     The reward parameter has its first d-1 coordinates drawn uniformly from
@@ -79,23 +76,20 @@ def make_synthetic(seed: int, spec: SyntheticSpec = SyntheticSpec()) -> BanditIn
     unbounded (Gaussian spikes), so planner runs on this instance must
     relax the unit-norm gate.
     """
-    if spec.n_actions < 8:
-        raise ConfigurationError("the action layout needs at least 8 actions")
-    if spec.d < 2 * spec.n_categories + 2:
-        raise ConfigurationError("dimension too small for distinct spike coordinates")
+    d = _SYNTHETIC_D
     rng0 = np.random.default_rng(seed)
-    theta = np.concatenate([rng0.choice([-1.0, 1.0], size=spec.d - 1), [0.0]])
-    layout = synthetic_action_layout(spec)
-    floor_std = math.sqrt(spec.floor_variance)
-    spike_std = math.sqrt(spec.spike_variance)
-    shared_std = math.sqrt(spec.shared_action_variance)
+    theta = np.concatenate([rng0.choice([-1.0, 1.0], size=d - 1), [0.0]])
+    layout = synthetic_action_layout()
+    floor_std = math.sqrt(_FLOOR_VARIANCE)
+    spike_std = math.sqrt(_SPIKE_VARIANCE)
+    shared_std = math.sqrt(_SHARED_ACTION_VARIANCE)
 
     def sample_context(rng: np.random.Generator) -> Context:
-        category = int(rng.integers(spec.n_categories))
-        feats = np.zeros((spec.n_actions, spec.d))
+        category = int(rng.integers(_SYNTHETIC_CATEGORIES))
+        feats = np.zeros((_SYNTHETIC_ACTIONS, d))
 
         def spiked_row(coord: int, std: float) -> np.ndarray:
-            row = rng.normal(0.0, floor_std, size=spec.d)
+            row = rng.normal(0.0, floor_std, size=d)
             row[coord] = rng.normal(0.0, std)
             return row
 
@@ -109,7 +103,7 @@ def make_synthetic(seed: int, spec: SyntheticSpec = SyntheticSpec()) -> BanditIn
         return Context(context_id, feats)
 
     return BanditInstance(
-        d=spec.d, theta_star=theta, context_sampler=sample_context, noise_std=1.0
+        d=d, theta_star=theta, context_sampler=sample_context, noise_std=1.0
     )
 
 
@@ -236,7 +230,6 @@ class RankDatasetSpec:
     raw_dim: int = 700
     subsampled_dim: int = 300
     max_actions: int = 20
-    relevance_values: tuple = (0, 1, 2, 3, 4)
     norm_cap: float = 1.0
 
 
@@ -367,8 +360,7 @@ SPLIT_FILES = ("train.txt", "valid.txt", "test.txt")
 
 
 def ingest_rank_dataset(path, spec: RankDatasetSpec = RankDatasetSpec(),
-                        seed: int = 0,
-                        subsample_indices: Optional[np.ndarray] = None) -> RankIngest:
+                        seed: int = 0) -> RankIngest:
     """Ingest a ranking dataset from a directory of splits or a single file.
 
     A directory must contain train.txt (test.txt and valid.txt optional); a
@@ -382,12 +374,10 @@ def ingest_rank_dataset(path, spec: RankDatasetSpec = RankDatasetSpec(),
             f"dataset path {path} does not exist; generate a stand-in file with "
             "gen-standin or point at files in the sparse 'label qid:<id> idx:val' format"
         )
-    if subsample_indices is None:
-        subsample_indices = draw_subsample_indices(spec, seed)
+    subsample_indices = draw_subsample_indices(spec, seed)
     if path.is_dir():
-        train_file = path / "train.txt"
-        if not train_file.exists():
-            raise ConfigurationError(f"directory {path} has no train.txt")
+        if not (path / SPLIT_FILES[0]).exists():
+            raise ConfigurationError(f"directory {path} has no {SPLIT_FILES[0]}")
         splits = []
         for name in SPLIT_FILES:
             file = path / name
@@ -446,8 +436,13 @@ def make_rank_instance(ranked: Sequence[RankedContext],
     )
 
 
-def generate_standin_file(path, n_queries: int, seed: int, raw_dim: int = 700,
-                          max_docs: int = 35, density: float = 0.02) -> Path:
+# Stand-in files: a query has 1.._STANDIN_MAX_DOCS documents (uniform), and each
+# raw coordinate of a document is nonzero with probability _STANDIN_DENSITY.
+_STANDIN_MAX_DOCS = 35
+_STANDIN_DENSITY = 0.02
+
+
+def generate_standin_file(path, n_queries: int, seed: int, raw_dim: int = 700) -> Path:
     """Emit a synthetic ranking file in the sparse interchange format.
 
     Relevance labels are a quantized noisy linear function of the features,
@@ -457,13 +452,13 @@ def generate_standin_file(path, n_queries: int, seed: int, raw_dim: int = 700,
         raise ConfigurationError("need at least one query")
     rng = np.random.default_rng(seed)
     weights = rng.normal(0.0, 1.0, size=raw_dim)
-    scale = math.sqrt(max(1.0, raw_dim * density))
+    scale = math.sqrt(max(1.0, raw_dim * _STANDIN_DENSITY))
     path = Path(path)
     with path.open("w") as handle:
         for q in range(n_queries):
-            n_docs = int(rng.integers(1, max_docs + 1))
+            n_docs = int(rng.integers(1, _STANDIN_MAX_DOCS + 1))
             for _ in range(n_docs):
-                n_feats = max(1, int(rng.binomial(raw_dim, density)))
+                n_feats = max(1, int(rng.binomial(raw_dim, _STANDIN_DENSITY)))
                 idx = np.sort(rng.choice(raw_dim, size=n_feats, replace=False))
                 vals = np.round(rng.uniform(0.05, 1.0, size=n_feats), 4)
                 score = float(vals @ weights[idx]) / scale

@@ -110,14 +110,15 @@ def ridge_fit_arrays(features: np.ndarray, rewards: np.ndarray,
     if lambda_reg <= 0:
         raise ConfigurationError("lambda_reg must be positive")
     n, d = features.shape
-    cov = RegularizedCovariance(d, lambda_reg, alpha=1.0, norm_cap=None)
     if n == 0:
+        cov = RegularizedCovariance(d, lambda_reg, alpha=1.0, norm_cap=None)
         return RidgeEstimate(theta_hat=np.zeros(d), sigma_prime_n=cov, n_samples=0)
     if not np.isfinite(rewards).all():
         raise DataError("non-finite rewards in dataset")
     if not np.isfinite(features).all():
         raise DataError("non-finite features in dataset")
-    cov.rank_one_update_many(features)
+    cov = RegularizedCovariance.from_state(lambda_reg * np.eye(d) + features.T @ features,
+                                           lambda_reg, update_count=n)
     rhs = features.T @ rewards
     theta = cho_solve(cho_factor(cov.matrix, lower=True), rhs)
     return RidgeEstimate(theta_hat=theta, sigma_prime_n=cov, n_samples=n)

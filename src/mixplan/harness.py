@@ -86,8 +86,6 @@ class RunConfig:
     M: Optional[int] = None
     alpha: Optional[float] = None
     lambda_reg: float = 1.0
-    delta: float = 0.05
-    epsilon: float = 0.1
     seed: int = 0
     n_trials: int = 1
     eval_every: int = 20
@@ -284,9 +282,6 @@ def _collection_policy(config: RunConfig, env: _TrialEnv):
             lambda_reg=config.lambda_reg,
             alpha=config.alpha if config.alpha is not None
             else min(1.0, env.horizon / len(env.offline_contexts)),
-            delta=config.delta,
-            epsilon=config.epsilon,
-            seed=config.seed,
         )
         policy, _ = plan(env.offline_contexts, exp, norm_cap=env.norm_cap)
         return policy

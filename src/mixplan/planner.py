@@ -54,15 +54,13 @@ class UncertaintyTrace:
     ``values`` is measured against the snapshot the step actually acted
     with; ``values_fresh`` is the same maximum measured against the fully
     up-to-date covariance. The two coincide at snapshot steps and the fresh
-    one is never larger. ``chosen_features`` retains the selected feature
-    rows so that downstream checks can replay the covariance trajectory
-    exactly.
+    one is never larger. The selected feature rows, from which checks replay
+    the covariance trajectory, are the policy's ``MixturePolicy.features``.
     """
 
     values: np.ndarray
     values_fresh: np.ndarray
     actions: np.ndarray
-    chosen_features: np.ndarray
 
     def __len__(self) -> int:
         return len(self.values)
@@ -202,11 +200,6 @@ class MixturePolicy:
         )
 
 
-def policy_action(policy: MixturePolicy, context: Context, rng: np.random.Generator) -> int:
-    """Functional alias for ``MixturePolicy.action``."""
-    return policy.action(context, rng)
-
-
 def switch_count_budget(d: int, M: int, lambda_reg: float) -> float:
     """Determinant-doubling budget d * log2(1 + M / (d * lambda_reg)).
 
@@ -281,10 +274,5 @@ def plan(contexts: Iterable[Context], config: ExperimentConfig, *,
         alpha=config.alpha,
         features=chosen,
     )
-    trace = UncertaintyTrace(
-        values=values,
-        values_fresh=values_fresh,
-        actions=actions,
-        chosen_features=chosen,
-    )
+    trace = UncertaintyTrace(values=values, values_fresh=values_fresh, actions=actions)
     return policy, trace

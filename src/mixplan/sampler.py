@@ -113,15 +113,17 @@ def dataset_from_csv(path) -> InteractionDataset:
 
 
 def dataset_to_npz(dataset: InteractionDataset, path) -> None:
-    """Compact binary form of the dataset."""
-    np.savez_compressed(
-        Path(path),
-        d=np.int64(dataset.d),
-        context_ids=np.array([r.context_id for r in dataset], dtype=np.str_),
-        action_indices=np.array([r.action_index for r in dataset], dtype=np.int64),
-        features=dataset.feature_matrix(),
-        rewards=dataset.rewards(),
-    )
+    """Compact binary form of the dataset, written to exactly ``path``
+    (through an open handle, so no ``.npz`` suffix is appended)."""
+    with open(path, "wb") as handle:
+        np.savez_compressed(
+            handle,
+            d=np.int64(dataset.d),
+            context_ids=np.array([r.context_id for r in dataset], dtype=np.str_),
+            action_indices=np.array([r.action_index for r in dataset], dtype=np.int64),
+            features=dataset.feature_matrix(),
+            rewards=dataset.rewards(),
+        )
 
 
 def dataset_from_npz(path) -> InteractionDataset:

@@ -132,8 +132,8 @@ def test_criterion_04_elliptical_potential():
         alpha = float(rng.choice([1.0, 0.5]))
         contexts = unit_ball_contexts(rng, 250, d, 5)
         config = ExperimentConfig(M=250, N=250, lambda_reg=lam, alpha=alpha)
-        _, trace = plan(contexts, config)
-        check = potential_check(math.sqrt(alpha) * trace.chosen_features, lam)
+        policy, _ = plan(contexts, config)
+        check = potential_check(math.sqrt(alpha) * policy.features, lam)
         worst_slack = min(worst_slack, check.rhs - check.lhs_squared)
         if not check.passed:
             failures += 1

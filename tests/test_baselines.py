@@ -7,13 +7,10 @@ from mixplan import (
     LargestNormPolicy,
     RandomPolicy,
     SingleActionPolicy,
-    largest_norm_action,
     make_synthetic,
     oracle_fits,
-    random_policy_action,
     ridge_fit,
     sample,
-    single_action,
 )
 from mixplan.core import InteractionDataset, InteractionRecord
 
@@ -22,46 +19,50 @@ from conftest import make_context, unit_ball_contexts
 
 def test_random_single_action_context(rng):
     context = make_context([[1.0, 0.0]])
-    assert all(random_policy_action(context, rng) == 0 for _ in range(20))
+    assert all(RandomPolicy().action(context, rng) == 0 for _ in range(20))
 
 
 def test_random_is_uniform():
     context = make_context(np.eye(10))
     rng = np.random.default_rng(50)
-    draws = np.array([random_policy_action(context, rng) for _ in range(100_000)])
+    draws = np.array([RandomPolicy().action(context, rng) for _ in range(100_000)])
     frequencies = np.bincount(draws, minlength=10) / len(draws)
     assert np.abs(frequencies - 0.1).max() <= 0.01
 
 
 def test_random_is_seed_reproducible():
     context = make_context(np.eye(4))
-    first = [random_policy_action(context, np.random.default_rng(1)) for _ in range(1)]
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(123)
-        runs.append([random_policy_action(context, rng) for _ in range(100)])
+        runs.append([RandomPolicy().action(context, rng) for _ in range(100)])
     assert runs[0] == runs[1]
 
 
-def test_largest_norm_examples():
-    assert largest_norm_action(make_context([[1.0, 0.0], [0.0, 0.5]])) == 0
-    assert largest_norm_action(make_context([[0.0, 0.0], [0.0, 0.0]])) == 0
+def test_largest_norm_examples(rng):
+    policy = LargestNormPolicy()
+    assert policy.action(make_context([[1.0, 0.0], [0.0, 0.5]]), rng) == 0
+    assert policy.action(make_context([[0.0, 0.0], [0.0, 0.0]]), rng) == 0
 
 
 def test_largest_norm_matches_scan_oracle(rng):
     for context in unit_ball_contexts(rng, 20, 4, 20):
         norms = [float(np.linalg.norm(row)) for row in context.features]
         oracle = max(range(20), key=lambda a: (norms[a], -a))
-        assert largest_norm_action(context) == oracle
+        assert LargestNormPolicy().action(context, rng) == oracle
 
 
-def test_single_action_fixed_and_clamped(caplog):
+def test_single_action_fixed_and_clamped(caplog, rng):
     context = make_context(np.eye(5))
-    assert single_action(context, 0) == 0
-    assert single_action(context, 3) == 3
+    assert SingleActionPolicy(0).action(context, rng) == 0
+    assert SingleActionPolicy(3).action(context, rng) == 3
     with caplog.at_level(logging.WARNING):
-        assert single_action(context, 99) == 4
-    assert "clamping" in caplog.text
+        assert SingleActionPolicy(99).action(context, rng) == 4
+    assert "clamping to 4" in caplog.text
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        assert SingleActionPolicy(-2).action(context, rng) == 0
+    assert "clamping to 0" in caplog.text
 
 
 def _streaming_instance(theta, contexts, noise_std):

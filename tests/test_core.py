@@ -132,7 +132,6 @@ def test_config_rejects_default_alpha_above_one():
         {"M": 1, "N": 1, "lambda_reg": 0.0},
         {"M": 1, "N": 1, "delta": 0.0},
         {"M": 1, "N": 1, "delta": 1.0},
-        {"M": 1, "N": 1, "epsilon": 0.0},
         {"M": 1, "N": 1, "alpha": 0.0},
         {"M": 1, "N": 1, "alpha": 1.5},
     ],

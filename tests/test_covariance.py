@@ -81,18 +81,6 @@ def test_rank_one_update_matches_batch_oracle():
     assert cov.update_count == n
 
 
-def test_bulk_update_matches_sequential():
-    rng = np.random.default_rng(6)
-    features = _random_unit_vectors(rng, 60, 4)
-    one_by_one = RegularizedCovariance(4, 1.0, 1.0)
-    for phi in features:
-        one_by_one.rank_one_update(phi)
-    bulk = RegularizedCovariance(4, 1.0, 1.0)
-    bulk.rank_one_update_many(features)
-    assert np.allclose(one_by_one.matrix, bulk.matrix, atol=1e-9)
-    assert bulk.update_count == 60
-
-
 def test_norm_gate_rejects_long_features():
     cov = RegularizedCovariance(2, 1.0, 1.0)
     with pytest.raises(ContractViolation):

@@ -426,7 +426,11 @@ def test_cli_eval_rejects_sigma_not_positive_definite(tmp_path, capsys):
     ('{"environment": "synthetic", ', "not valid JSON"),
     ('["synthetic", "random"]', "JSON object"),
     ('{"environment": "synthetic", "algorithm": "random", "N": "abc"}', "'N' must be int"),
-], ids=["malformed-json", "json-array", "wrongly-typed-field"])
+    ('{"environment": "synthetic", "algorithm": "random", "N": 20, "delta": 0.9}', "'delta'"),
+    ('{"environment": "synthetic", "algorithm": "random", "N": 20, "epsilon": 50.0}',
+     "'epsilon'"),
+], ids=["malformed-json", "json-array", "wrongly-typed-field", "removed-field-delta",
+        "removed-field-epsilon"])
 def test_cli_run_experiment_rejects_bad_config_file(tmp_path, capsys, text, message):
     config_path = tmp_path / "run.json"
     config_path.write_text(text)
@@ -464,3 +468,57 @@ def test_cli_reports_unparsable_dataset_fields(tmp_path, capsys, row, message):
         assert cli_main(command) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err and str(bad_csv) in err
+
+
+def test_cli_resolved_config_runs_again_to_identical_metrics(tmp_path):
+    first = tmp_path / "first"
+    assert cli_main([
+        "run-experiment", "--environment", "synthetic", "--algorithm", "planner_sampler",
+        "--N", "40", "--eval-every", "20", "--eval-set-size", "30", "--n-trials", "2",
+        "--seed", "9", "--out", str(first),
+    ]) == 0
+    second = tmp_path / "second"
+    assert cli_main([
+        "run-experiment", "--config", str(first / "resolved_config.json"),
+        "--out", str(second),
+    ]) == 0
+    assert (second / "metrics.csv").read_bytes() == (first / "metrics.csv").read_bytes()
+
+
+def test_cli_plan_rejects_epsilon_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(_plan_args(tmp_path / "policy.npz") + ["--epsilon", "0.1"])
+    assert exc.value.code == 2
+    assert "--epsilon" in capsys.readouterr().err
+    assert not (tmp_path / "policy.npz").exists()
+
+
+def test_cli_sample_binary_is_written_to_the_exact_path(tmp_path):
+    from mixplan import dataset_from_csv, dataset_from_npz
+
+    policy_path = tmp_path / "policy.npz"
+    assert cli_main(_plan_args(policy_path)) == 0
+    binary = tmp_path / "d.bin"
+    assert cli_main(_sample_args(policy_path, tmp_path) + ["--binary", str(binary)]) == 0
+    assert binary.exists()
+    assert not (tmp_path / "d.bin.npz").exists()
+    written = dataset_from_csv(tmp_path / "dataset.csv")
+    reread = dataset_from_npz(binary)
+    assert [r.context_id for r in reread] == [r.context_id for r in written]
+    assert [r.action_index for r in reread] == [r.action_index for r in written]
+    assert np.array_equal(reread.feature_matrix(), written.feature_matrix())
+    assert np.array_equal(reread.rewards(), written.rewards())
+
+
+def test_cli_gen_standin_splits_feed_ingest(tmp_path):
+    from mixplan.environments import SPLIT_FILES
+
+    directory = tmp_path / "splits"
+    assert cli_main(["gen-standin", "--out", str(directory), "--queries", "12",
+                     "--raw-dim", "25", "--seed", "3", "--splits"]) == 0
+    assert sorted(p.name for p in directory.iterdir()) == sorted(SPLIT_FILES)
+    summary_path = tmp_path / "ingest.json"
+    assert cli_main(["ingest-ltr", "--path", str(directory), "--raw-dim", "25",
+                     "--subsampled-dim", "10", "--out", str(summary_path)]) == 0
+    summary = json.loads(summary_path.read_text())
+    assert summary["n_train"] > 0 and summary["n_valid"] > 0 and summary["n_test"] > 0

@@ -16,7 +16,6 @@ from mixplan import (
     make_hard_uniform,
     make_random_unit_instance,
     plan,
-    policy_action,
     sample,
     switch_count_budget,
 )
@@ -98,9 +97,7 @@ def test_plan_uncertainty_sum_bound():
         config = _config(400, lam=1.5, alpha=alpha)
         policy, trace = plan(contexts, config)
         total = float(trace.values.sum())
-        final = np.eye(6) * config.lambda_reg + alpha * (
-            trace.chosen_features.T @ trace.chosen_features
-        )
+        final = np.eye(6) * config.lambda_reg + alpha * (policy.features.T @ policy.features)
         log_det_growth = float(np.linalg.slogdet(final)[1]) - 6 * math.log(config.lambda_reg)
         lemma_form = math.sqrt((400 / alpha) * 3.0 * log_det_growth)
         assert total <= lemma_form + 1e-9
@@ -122,10 +119,10 @@ def test_plan_uncertainty_capped_by_lambda():
 def test_plan_trace_values_nonnegative_and_match_actions():
     rng = np.random.default_rng(26)
     contexts = unit_ball_contexts(rng, 40, 3, 4)
-    _, trace = plan(contexts, _config(40))
+    policy, trace = plan(contexts, _config(40))
     assert (trace.values >= 0).all()
     for m, context in enumerate(contexts):
-        assert np.array_equal(trace.chosen_features[m], context.features[trace.actions[m]])
+        assert np.array_equal(policy.features[m], context.features[trace.actions[m]])
 
 
 def test_plan_rejects_empty_stream():
@@ -173,7 +170,7 @@ def test_policy_action_single_phase_is_deterministic(rng):
 def test_policy_action_snapshot_metric():
     policy = _single_phase_policy(np.diag([10.0, 1.0]))
     context = make_context([[1.0, 0.0], [0.0, 1.0]])
-    assert policy_action(policy, context, np.random.default_rng(0)) == 1
+    assert policy.action(context, np.random.default_rng(0)) == 1
 
 
 def test_policy_action_phase_frequencies():
@@ -233,8 +230,7 @@ def _assert_same_policy(loaded, policy):
 def test_policy_artifact_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(27)
     contexts = unit_ball_contexts(rng, 80, 4, 5)
-    policy, trace = plan(contexts, _config(80, lam=0.7, alpha=0.5))
-    assert np.array_equal(policy.features, trace.chosen_features)
+    policy, _ = plan(contexts, _config(80, lam=0.7, alpha=0.5))
     path = tmp_path / "policy.json"
     policy.save(path)
     assert path.exists() and not (tmp_path / "policy.json.npz").exists()
