@@ -258,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_env_flags(p)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--N", type=int, default=None, help="online budget (defaults to M)")
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--alpha", type=float, default=None,
+                   help="offline update discount (defaults to min(1, N/M))")
     p.add_argument("--lambda-reg", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_plan)

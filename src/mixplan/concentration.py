@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .core import BanditInstance, ConfigurationError, ExperimentConfig
-from .covariance import RegularizedCovariance
+from .covariance import CovarianceSnapshot, RegularizedCovariance
+from .estimator import _context_blocks
 from .planner import MixturePolicy, plan, switch_count_budget
 from .sampler import sample
 
@@ -269,7 +270,7 @@ def potential_check(vectors: np.ndarray, lambda_reg: float) -> PotentialCheck:
         u = snap.mahalanobis(x)
         lhs_squared += u * u
         lhs_unsquared += u
-        cov.rank_one_update(x)
+        cov.rank_one_update(x, u)
     rhs = 3.0 * (cov.log_det() - d * math.log(lambda_reg))
     return PotentialCheck(
         lhs_squared=lhs_squared,
@@ -352,6 +353,23 @@ class SandwichResult:
         }
 
 
+def _snapshot_choices(snapshot: CovarianceSnapshot, contexts) -> np.ndarray:
+    """The feature row each context's uncertainty argmax under ``snapshot``
+    picks, in context order, as ``MixturePolicy.snapshot_action`` would pick
+    it: one solve per block of contexts with two or more actions; a
+    single-action context has nothing to choose."""
+    picked = np.empty((len(contexts), snapshot.d))
+    for block, feats in _context_blocks(contexts, snapshot.d):
+        g, n_actions, d = feats.shape
+        if n_actions == 1:
+            chosen = np.zeros(g, dtype=np.int64)
+        else:
+            norms = snapshot.mahalanobis_rows(feats.reshape(g * n_actions, d))
+            chosen = np.argmax(norms.reshape(g, n_actions), axis=1)
+        picked[block] = feats[np.arange(g), chosen]
+    return picked
+
+
 def sandwich_check(instance: BanditInstance, config: ExperimentConfig, trials: int,
                    seed: int, n_expectation_contexts: int = 128) -> SandwichResult:
     """Monte-Carlo check of the offline and online covariance bounds.
@@ -383,11 +401,12 @@ def sandwich_check(instance: BanditInstance, config: ExperimentConfig, trials: i
 
         sigma_bar = lam * eye.copy()
         lengths = policy.phase_lengths()
-        for k in range(policy.snapshot_count):
+        for k, snap in enumerate(policy.snapshots):
+            # Choosing actions draws no randomness, so drawing the contexts
+            # first leaves the stream as it was.
+            contexts = [instance.context_sampler(rng_mc) for _ in range(n_expectation_contexts)]
             expected = np.zeros((instance.d, instance.d))
-            for _ in range(n_expectation_contexts):
-                ctx = instance.context_sampler(rng_mc)
-                phi = ctx.features[policy.snapshot_action(k, ctx)]
+            for phi in _snapshot_choices(snap, contexts):
                 expected += np.outer(phi, phi)
             expected /= n_expectation_contexts
             sigma_bar += alpha * float(lengths[k]) * expected

@@ -192,8 +192,9 @@ class ExperimentConfig:
 
     ``M``, ``N``, ``lambda_reg`` and ``alpha`` fix the mixture policy.
     ``alpha`` is the discount on offline rank-one covariance updates and
-    defaults to N/M, so that M = N/alpha offline contexts emulate N online
-    samples. ``delta`` is the failure probability that sizes the theory's
+    defaults to min(1, N/M), so that M = N/alpha offline contexts emulate N
+    online samples; with fewer offline contexts than online samples each
+    counts once. ``delta`` is the failure probability that sizes the theory's
     requirements; only the covariance sandwich check reads it.
     """
 
@@ -213,8 +214,6 @@ class ExperimentConfig:
         if not 0 < self.delta < 1:
             raise ConfigurationError("delta must lie in (0, 1)")
         if self.alpha is None:
-            if self.N > self.M:
-                raise ConfigurationError("alpha defaults to N/M, which requires N <= M")
-            object.__setattr__(self, "alpha", self.N / self.M)
+            object.__setattr__(self, "alpha", min(1.0, self.N / self.M))
         if not 0 < self.alpha <= 1:
             raise ConfigurationError("alpha must lie in (0, 1]")

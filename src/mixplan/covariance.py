@@ -9,6 +9,16 @@ cannot overflow.
 
 The writer keeps the raw matrix current after every update and refreshes
 the factorization lazily, the first time a determinant or norm is needed.
+A factorization therefore happens at a snapshot, at a direct query, and
+at an exact doubling test, but not at an update. ``doubled_since`` runs the
+exact test only when a free bound cannot rule it out: by the matrix
+determinant lemma, an update by phi raises the log-determinant by
+log1p(alpha * phi^T Sigma^{-1} phi), which is at most log1p(alpha * u^2)
+with u the norm of phi against the last snapshot (Sigma dominates it).
+Callers that already hold u pass it to ``rank_one_update``; while the sum
+of those terms stays below log 2 minus ``GROWTH_SLACK``, the determinant
+cannot have doubled and no factorization is needed.
+
 ``RegularizedCovariance`` is single-writer; hand out ``CovarianceSnapshot``
 objects (immutable) for concurrent readers.
 """
@@ -18,19 +28,32 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .core import ConfigurationError, ContractViolation
 
 #: Absolute slack on the feature-norm gate.
 NORM_TOLERANCE = 1e-9
 
+#: Margin below log 2 that the log-determinant growth bound must keep for
+#: ``doubled_since`` to skip the exact test. It covers the rounding of the
+#: bound and of the two computed log-determinants (about d * M * eps).
+GROWTH_SLACK = 1e-6
+
 _LOG2 = math.log(2.0)
 
 
 def _mahalanobis_rows(chol_lower: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Row-wise sqrt(x^T Sigma^{-1} x) given the lower Cholesky factor of Sigma."""
-    y = solve_triangular(chol_lower, rows.T, lower=True, check_finite=False)
+    """Row-wise sqrt(x^T Sigma^{-1} x) given the C-ordered lower Cholesky
+    factor of Sigma.
+
+    This is the LAPACK call ``solve_triangular`` makes for such a factor
+    (its transpose is a Fortran-ordered upper factor, solved transposed),
+    without the wrapper's validation and copies.
+    """
+    y, info = dtrtrs(chol_lower.T, rows.T, lower=0, trans=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
     return np.sqrt(np.einsum("ij,ij->j", y, y))
 
 
@@ -120,6 +143,10 @@ class RegularizedCovariance:
         self._chol = np.eye(self.d) * math.sqrt(self.lambda_reg)
         self._dirty = False
         self._snapshots_taken = 0
+        self._last_snapshot: CovarianceSnapshot | None = None
+        # Upper bound on the log-determinant growth since _last_snapshot;
+        # infinite once an update arrives without its snapshot norm.
+        self._growth_bound = math.inf
 
     @classmethod
     def from_state(cls, matrix: np.ndarray, lambda_reg: float,
@@ -145,24 +172,37 @@ class RegularizedCovariance:
         if not np.isfinite(phi).all():
             raise ContractViolation("non-finite feature vector")
         if self.norm_cap is not None:
-            norm = float(np.linalg.norm(phi))
+            norm = math.sqrt(float(phi.dot(phi)))  # np.linalg.norm's arithmetic
             if norm > self.norm_cap + NORM_TOLERANCE:
                 raise ContractViolation(
                     f"feature norm {norm:.6g} exceeds cap {self.norm_cap:.6g}; "
                     "rescale at ingestion instead"
                 )
 
-    def rank_one_update(self, feature: np.ndarray) -> "RegularizedCovariance":
-        """Add alpha * phi phi^T. The new matrix dominates the old in PSD order."""
+    def rank_one_update(self, feature: np.ndarray,
+                        snapshot_norm: float | None = None) -> "RegularizedCovariance":
+        """Add alpha * phi phi^T. The new matrix dominates the old in PSD order.
+
+        ``snapshot_norm`` is phi's norm against the last snapshot this object
+        took, if the caller has it; it lets ``doubled_since`` skip the exact
+        test (see the module docstring).
+        """
         phi = np.asarray(feature, dtype=np.float64)
         if phi.shape != (self.d,):
             raise ContractViolation(f"expected vector of length {self.d}, got shape {phi.shape}")
         self._gate(phi)
         # alpha * phi_i * phi_j is bit-for-bit symmetric, so the in-place
         # sum stays exactly symmetric without a symmetrizing copy.
-        self.matrix += self.alpha * np.outer(phi, phi)
+        outer = phi[:, None] * phi
+        outer *= self.alpha
+        self.matrix += outer
         self.update_count += 1
         self._dirty = True
+        if snapshot_norm is None:
+            self._growth_bound = math.inf
+        else:
+            u = float(snapshot_norm)
+            self._growth_bound += math.log1p(self.alpha * u * u)
         return self
 
     def log_det(self) -> float:
@@ -185,12 +225,24 @@ class RegularizedCovariance:
         """Freeze the current state. Later snapshots PSD-dominate earlier ones."""
         snap = CovarianceSnapshot(self.factor(), self.log_det(), self._snapshots_taken)
         self._snapshots_taken += 1
+        self._last_snapshot = snap
+        self._growth_bound = 0.0
         return snap
 
     def doubled_since(self, snapshot: CovarianceSnapshot | None) -> bool:
         """The doubling rule: True when there is no snapshot yet or the
-        determinant has more than doubled since ``snapshot`` was taken."""
-        return snapshot is None or self.log_det() - snapshot.log_det > _LOG2
+        determinant has more than doubled since ``snapshot`` was taken.
+
+        When ``snapshot`` is the last one this object took and every update
+        since came with its snapshot norm, a growth bound below log 2 minus
+        ``GROWTH_SLACK`` answers False without factoring; otherwise the
+        exact log-determinant test decides.
+        """
+        if snapshot is None:
+            return True
+        if snapshot is self._last_snapshot and self._growth_bound < _LOG2 - GROWTH_SLACK:
+            return False
+        return self.log_det() - snapshot.log_det > _LOG2
 
     def det_ratio(self, snapshot: CovarianceSnapshot) -> float:
         """det(current) / det(snapshot), computed from log determinants."""

@@ -185,11 +185,15 @@ def make_hard_nonconcentrating(d: int, M: int) -> BanditInstance:
         contexts.append(Context(f"s{s}", feats))
     probs = np.full(d, (1.0 - 1.0 / (d * M)) / (d - 1))
     probs[0] = 1.0 / (d * M)
+    # The draw rng.choice(d, p=probs) makes, without its per-call checks:
+    # one uniform looked up in the normalized cumulative distribution.
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
     theta = np.ones(d) / math.sqrt(d)
     return BanditInstance(
         d=d,
         theta_star=theta,
-        context_sampler=lambda rng: contexts[int(rng.choice(d, p=probs))],
+        context_sampler=lambda rng: contexts[int(cdf.searchsorted(rng.random(), side="right"))],
         noise_std=1.0,
     )
 

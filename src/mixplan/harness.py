@@ -280,8 +280,7 @@ def _collection_policy(config: RunConfig, env: _TrialEnv):
             M=len(env.offline_contexts),
             N=env.horizon,
             lambda_reg=config.lambda_reg,
-            alpha=config.alpha if config.alpha is not None
-            else min(1.0, env.horizon / len(env.offline_contexts)),
+            alpha=config.alpha,
         )
         policy, _ = plan(env.offline_contexts, exp, norm_cap=env.norm_cap)
         return policy

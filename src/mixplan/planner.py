@@ -8,6 +8,13 @@ more than doubled since the last snapshot. The result is a mixture policy:
 a uniform mixture over the per-step policies, held in memory as the K
 distinct snapshots plus the step at which each phase begins.
 
+A step costs one triangular solve against the snapshot. The covariance is
+factored only at a new snapshot and when the log-determinant growth bound
+summed from those solves (see ``mixplan.covariance``) comes within
+``GROWTH_SLACK`` of log 2, where the exact doubling test runs. The bound
+only screens out exact tests that cannot fire, so the snapshots are the
+ones an exact test at every step would take.
+
 Snapshot k is exactly lambda_reg * I + alpha * sum_{m < start_k} phi_m phi_m^T,
 so the whole policy is fixed by the M chosen features, the phase starts,
 lambda_reg and alpha. That is what the policy artifact stores: a version-2
@@ -52,14 +59,11 @@ class UncertaintyTrace:
     """Per-step realized uncertainty of a planner run.
 
     ``values`` is measured against the snapshot the step actually acted
-    with; ``values_fresh`` is the same maximum measured against the fully
-    up-to-date covariance. The two coincide at snapshot steps and the fresh
-    one is never larger. The selected feature rows, from which checks replay
-    the covariance trajectory, are the policy's ``MixturePolicy.features``.
+    with. The selected feature rows, from which checks replay the
+    covariance trajectory, are the policy's ``MixturePolicy.features``.
     """
 
     values: np.ndarray
-    values_fresh: np.ndarray
     actions: np.ndarray
 
     def __len__(self) -> int:
@@ -236,7 +240,6 @@ def plan(contexts: Iterable[Context], config: ExperimentConfig, *,
     snapshots: list[CovarianceSnapshot] = []
     phase_starts: list[int] = []
     values = np.empty(M)
-    values_fresh = np.empty(M)
     actions = np.empty(M, dtype=np.int64)
     chosen = np.empty((M, d))
 
@@ -260,10 +263,9 @@ def plan(contexts: Iterable[Context], config: ExperimentConfig, *,
         norms = snap.mahalanobis_rows(context.features)
         a = int(np.argmax(norms))
         values[m - 1] = norms[a]
-        values_fresh[m - 1] = float(cov.mahalanobis_rows(context.features).max())
         actions[m - 1] = a
         chosen[m - 1] = context.features[a]
-        cov.rank_one_update(context.features[a])
+        cov.rank_one_update(context.features[a], norms[a])
 
     policy = MixturePolicy(
         snapshots=snapshots,
@@ -274,5 +276,5 @@ def plan(contexts: Iterable[Context], config: ExperimentConfig, *,
         alpha=config.alpha,
         features=chosen,
     )
-    trace = UncertaintyTrace(values=values, values_fresh=values_fresh, actions=actions)
+    trace = UncertaintyTrace(values=values, actions=actions)
     return policy, trace

@@ -10,6 +10,7 @@ from mixplan import (
     bernstein_bound,
     bernstein_pair,
     coverage_test,
+    make_hard_nonconcentrating,
     make_hard_uniform,
     make_random_unit_instance,
     matrix_chernoff_tail,
@@ -24,7 +25,9 @@ from mixplan import (
     verify_lemmas,
 )
 
-from conftest import unit_ball_contexts
+from mixplan.concentration import _snapshot_choices
+
+from conftest import make_context, unit_ball_contexts
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +263,26 @@ def test_sandwich_check_stochastic_contexts():
                             n_expectation_contexts=300)
     assert result.offline.passed
     assert result.online.passed
+
+
+@pytest.mark.parametrize("kind", ["nonconcentrating", "mixed_random"])
+def test_batched_snapshot_replay_matches_per_context_actions(kind):
+    # Contexts with one and with two or more actions, interleaved: the
+    # batched replay picks each context's row as snapshot_action does, in
+    # context order.
+    rng = np.random.default_rng(31)
+    if kind == "nonconcentrating":
+        instance = make_hard_nonconcentrating(d=4, M=8)
+        contexts = [instance.context_sampler(rng) for _ in range(300)]
+    else:
+        pool = unit_ball_contexts(rng, 300, 4, 3)
+        contexts = [make_context(c.features[: 1 + i % 3], f"c{i}") for i, c in enumerate(pool)]
+    assert {c.n_actions for c in contexts} >= {1, 2}
+    policy, _ = plan(contexts[:200], ExperimentConfig(M=200, N=200, lambda_reg=0.5, alpha=1.0))
+    assert policy.snapshot_count > 1
+    for k, snap in enumerate(policy.snapshots):
+        expected = np.array([c.features[policy.snapshot_action(k, c)] for c in contexts])
+        assert np.array_equal(_snapshot_choices(snap, contexts), expected)
 
 
 def test_verify_lemmas_smoke():

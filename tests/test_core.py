@@ -119,9 +119,9 @@ def test_config_alpha_defaults_to_budget_ratio():
     assert config.alpha == pytest.approx(0.25)
 
 
-def test_config_rejects_default_alpha_above_one():
-    with pytest.raises(ConfigurationError):
-        ExperimentConfig(M=50, N=200, lambda_reg=1.0)
+def test_config_default_alpha_caps_at_one():
+    assert ExperimentConfig(M=50, N=200, lambda_reg=1.0).alpha == 1.0
+    assert ExperimentConfig(M=50, N=50, lambda_reg=1.0).alpha == 1.0
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from mixplan import ConfigurationError, ContractViolation, RegularizedCovariance
-from mixplan.covariance import CovarianceSnapshot
+from mixplan.covariance import GROWTH_SLACK, CovarianceSnapshot, _mahalanobis_rows
 
 
 def _random_unit_vectors(rng, count, d):
@@ -216,3 +219,98 @@ def test_snapshot_from_matrix_round_trip():
     x = np.array([0.3, -0.7])
     oracle = math.sqrt(float(x @ np.linalg.solve(spd, x)))
     assert snap.mahalanobis(x) == pytest.approx(oracle, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 300), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_mahalanobis_rows_equals_solve_triangular_bit_for_bit(d, n, seed):
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(d, d))
+    chol = np.linalg.cholesky(base @ base.T + d * np.eye(d))
+    rows = rng.normal(size=(n, d))
+    y = solve_triangular(chol, rows.T, lower=True, check_finite=False)
+    expected = np.sqrt(np.einsum("ij,ij->j", y, y))
+    assert np.array_equal(_mahalanobis_rows(chol, rows), expected)
+
+
+def test_mahalanobis_rows_singular_factor_raises():
+    chol = np.array([[1.0, 0.0], [0.5, 0.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        _mahalanobis_rows(chol, np.ones((3, 2)))
+
+
+def test_mahalanobis_rows_of_no_rows_is_empty():
+    cov = RegularizedCovariance(3, 1.0, 1.0)
+    for owner in (cov, cov.snapshot()):
+        norms = owner.mahalanobis_rows(np.zeros((0, 3)))
+        assert norms.shape == (0,)
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    calls = []
+    original = np.linalg.cholesky
+
+    def counted(matrix):
+        calls.append(matrix.shape[0])
+        return original(matrix)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return calls
+
+
+def test_growth_bound_skips_the_exact_test_without_factoring(cholesky_calls):
+    cov = RegularizedCovariance(3, 1.0, 1.0)
+    snap = cov.snapshot()
+    phi = np.array([0.3, 0.0, 0.0])
+    cov.rank_one_update(phi, snap.mahalanobis(phi))
+    assert not cov.doubled_since(snap)
+    assert cholesky_calls == []
+    # Same answer as the exact test, which factors.
+    assert cov.log_det() - snap.log_det <= math.log(2.0)
+    assert cholesky_calls == [3]
+
+
+def test_growth_bound_unknown_falls_back_to_exact_test(cholesky_calls):
+    cov = RegularizedCovariance(2, 1.0, 1.0)
+    snap = cov.snapshot()
+    phi = np.array([0.1, 0.0])
+    cov.rank_one_update(phi, snap.mahalanobis(phi))
+    cov.rank_one_update(phi)  # no snapshot norm: the bound is unknown
+    assert not cov.doubled_since(snap)
+    assert cholesky_calls == [2]
+    # A snapshot this object did not take last is never screened.
+    other = RegularizedCovariance(2, 1.0, 1.0)
+    older = other.snapshot()
+    newest = other.snapshot()
+    other.rank_one_update(phi, newest.mahalanobis(phi))
+    assert not other.doubled_since(newest)
+    assert cholesky_calls == [2]
+    assert not other.doubled_since(older)
+    assert cholesky_calls == [2, 2]
+
+
+def test_growth_bound_resets_at_each_snapshot():
+    cov = RegularizedCovariance(2, 1.0, 1.0)
+    snap = cov.snapshot()
+    phi = np.array([0.8, 0.0])
+    for _ in range(3):
+        cov.rank_one_update(phi, snap.mahalanobis(phi))
+    assert cov.doubled_since(snap)
+    snap = cov.snapshot()
+    cov.rank_one_update(phi, snap.mahalanobis(phi))
+    assert cov._growth_bound == pytest.approx(math.log1p(snap.mahalanobis(phi) ** 2))
+    assert cov._growth_bound < math.log(2.0) - GROWTH_SLACK
+
+
+def test_knife_edge_basis_update_runs_the_exact_test(cholesky_calls):
+    # lambda = alpha = 1 and a fresh basis vector multiply the determinant
+    # by exactly 2: the bound is log1p(1) = log 2, so it cannot screen, and
+    # the exact test decides (its rounding lands just above log 2).
+    cov = RegularizedCovariance(2, 1.0, 1.0)
+    snap = cov.snapshot()
+    e1 = np.array([1.0, 0.0])
+    cov.rank_one_update(e1, snap.mahalanobis(e1))
+    assert cov._growth_bound == math.log(2.0)
+    assert cov.doubled_since(snap)
+    assert cholesky_calls == [2]

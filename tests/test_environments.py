@@ -224,6 +224,22 @@ def test_hard_nonconcentrating_structure():
     assert frequent.features[1][0] == pytest.approx(math.sqrt(6 / 12), rel=1e-12)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hard_nonconcentrating_draws_follow_rng_choice(seed):
+    # The context draw keeps rng.choice's stream: same indices, and the
+    # generator is left in the same state.
+    d, M = 6, 400
+    instance = make_hard_nonconcentrating(d=d, M=M)
+    probs = np.full(d, (1.0 - 1.0 / (d * M)) / (d - 1))
+    probs[0] = 1.0 / (d * M)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = [int(instance.context_sampler(ours).context_id[1:]) for _ in range(20_000)]
+    expected = [int(theirs.choice(d, p=probs)) for _ in range(20_000)]
+    assert drawn == expected
+    assert 0 in drawn  # the rare context is among the draws
+    assert ours.random() == theirs.random()
+
+
 def test_random_unit_instance_norm_cap():
     instance = make_random_unit_instance(5, 7, seed=3)
     rng = np.random.default_rng(4)

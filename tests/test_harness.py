@@ -6,6 +6,7 @@ import pytest
 
 from mixplan import (
     ConfigurationError,
+    MixturePolicy,
     RunConfig,
     emit_action_histogram,
     make_synthetic,
@@ -304,6 +305,24 @@ def test_cli_simulated_pipeline(tmp_path, capsys):
     assert report["config"]["env"] == "hard_uniform"
     assert (tmp_path / "dataset.npz").exists()
     assert hist_path.exists()
+
+
+def test_cli_plan_and_run_experiment_share_the_alpha_default(tmp_path):
+    # N > M: both entry points discount offline updates by min(1, N/M) = 1.
+    policy_path = tmp_path / "policy.npz"
+    assert cli_main([
+        "plan", "--env", "hard_uniform", "--M", "100", "--N", "200", "--seed", "5",
+        "--out", str(policy_path),
+    ]) == 0
+    planned = MixturePolicy.load(policy_path)
+    config = RunConfig(environment="hard_uniform", algorithm="planner_sampler",
+                       M=100, N=200, seed=5)
+    harnessed = harness._collection_policy(config, _prepare_trial_env(config, 0))
+    assert planned.alpha == harnessed.alpha == 1.0
+    assert planned.phase_starts == harnessed.phase_starts
+    assert np.array_equal(planned.features, harnessed.features)
+    for a, b in zip(planned.snapshots, harnessed.snapshots):
+        assert np.array_equal(a.factor, b.factor)
 
 
 def test_cli_standin_and_ingest(tmp_path):

@@ -13,6 +13,8 @@ from mixplan import (
     ContractViolation,
     ExperimentConfig,
     MixturePolicy,
+    RegularizedCovariance,
+    make_hard_goptimal,
     make_hard_uniform,
     make_random_unit_instance,
     plan,
@@ -113,7 +115,73 @@ def test_plan_uncertainty_capped_by_lambda():
     contexts = unit_ball_contexts(rng, 100, 3, 4)
     _, trace = plan(contexts, _config(100, lam=lam))
     assert trace.values.max() <= 1.0 / math.sqrt(lam) + 1e-9
-    assert (trace.values_fresh <= trace.values + 1e-12).all()
+
+
+def _reference_plan(contexts, lam, alpha):
+    """The planner loop with the exact doubling test at every step: updates
+    carry no snapshot norm, so ``doubled_since`` always factors."""
+    cov = RegularizedCovariance(contexts[0].d, lam, alpha)
+    snap, snapshots, starts, actions, values = None, [], [], [], []
+    for m, context in enumerate(contexts, start=1):
+        if cov.doubled_since(snap):
+            snap = cov.snapshot()
+            snapshots.append(snap)
+            starts.append(m)
+        norms = snap.mahalanobis_rows(context.features)
+        a = int(np.argmax(norms))
+        actions.append(a)
+        values.append(norms[a])
+        cov.rank_one_update(context.features[a])
+    return snapshots, starts, np.array(actions), np.array(values)
+
+
+def _screen_fixture(kind, d, n_actions, seed, M):
+    rng = np.random.default_rng(seed)
+    if kind == "hard_uniform":
+        instance = make_hard_uniform(n_actions + 1)
+    elif kind == "hard_goptimal":
+        instance = make_hard_goptimal(2 + seed % 3)
+    else:
+        return unit_ball_contexts(rng, M, d, n_actions)
+    return [instance.context_sampler(rng) for _ in range(M)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["hard_uniform", "hard_goptimal", "random"]),
+    d=st.integers(1, 8),
+    n_actions=st.integers(1, 5),
+    seed=st.integers(0, 10_000),
+    M=st.integers(1, 250),
+    lam=st.sampled_from([0.05, 0.25, 0.5, 1.0, 2.0, 5.0]),
+    alpha=st.sampled_from([0.05, 0.25, 0.5, 1.0]),
+)
+def test_screened_plan_matches_exact_test_at_every_step(kind, d, n_actions, seed, M, lam,
+                                                        alpha):
+    # Basis-vector instances with lam == alpha double the determinant
+    # exactly on a fresh direction: the knife edge the screen must not cut.
+    contexts = _screen_fixture(kind, d, n_actions, seed, M)
+    policy, trace = plan(contexts, _config(M, lam=lam, alpha=alpha))
+    snapshots, starts, actions, values = _reference_plan(contexts, lam, alpha)
+    assert list(policy.phase_starts) == starts
+    assert np.array_equal(trace.actions, actions)
+    assert trace.values.tobytes() == values.tobytes()
+    assert len(policy.snapshots) == len(snapshots)
+    for ours, theirs in zip(policy.snapshots, snapshots):
+        assert ours.factor.tobytes() == theirs.factor.tobytes()
+        assert ours.log_det == theirs.log_det
+
+
+@pytest.mark.parametrize("lam, alpha", [(1.0, 1.0), (0.5, 0.5), (0.25, 0.25)])
+def test_screened_plan_keeps_the_knife_edge_snapshots(lam, alpha):
+    contexts = _hard_uniform_stream(A=4, M=300)
+    policy, _ = plan(contexts, _config(300, lam=lam, alpha=alpha))
+    _, starts, _, _ = _reference_plan(contexts, lam, alpha)
+    assert list(policy.phase_starts) == starts
+    if lam == 1.0:
+        # The first update doubles the determinant exactly; the computed
+        # log ratio rounds above log 2, so the second step starts a phase.
+        assert starts[:2] == [1, 2]
 
 
 def test_plan_trace_values_nonnegative_and_match_actions():
