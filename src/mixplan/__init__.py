@@ -17,7 +17,6 @@ from .core import (
     InteractionDataset,
     InteractionRecord,
     ParseError,
-    reward_draw,
 )
 from .covariance import CovarianceSnapshot, RegularizedCovariance
 from .planner import MixturePolicy, UncertaintyTrace, plan, switch_count_budget
@@ -29,10 +28,8 @@ from .sampler import (
     sample,
 )
 from .estimator import (
-    ConfidenceRadius,
     EvaluationReport,
     RidgeEstimate,
-    beta_radius,
     evaluate,
     greedy_action,
     ridge_fit,

@@ -21,6 +21,7 @@ from .core import (
 )
 from .covariance import RegularizedCovariance
 from .environments import (
+    RANK_MAX_ACTIONS,
     SPLIT_FILES,
     RankDatasetSpec,
     generate_standin_file,
@@ -133,14 +134,13 @@ def _load_estimate(path) -> RidgeEstimate:
             f"{path}: theta_hat {theta_hat.shape} and sigma {sigma.shape} must be finite, "
             "of shapes (d,) and (d, d)"
         )
-    n_samples = scalar(payload, "n_samples", int)
-    cov = RegularizedCovariance.from_state(sigma, scalar(payload, "lambda_reg", float),
-                                           update_count=n_samples)
+    cov = RegularizedCovariance.from_state(sigma, scalar(payload, "lambda_reg", float))
     try:
         cov.factor()
     except np.linalg.LinAlgError:
         raise ConfigurationError(f"{path}: sigma is not positive definite") from None
-    return RidgeEstimate(theta_hat=theta_hat, sigma_prime_n=cov, n_samples=n_samples)
+    return RidgeEstimate(theta_hat=theta_hat, sigma_prime_n=cov,
+                         n_samples=scalar(payload, "n_samples", int))
 
 
 def _cmd_eval(args) -> int:
@@ -220,7 +220,7 @@ def _cmd_ingest_ltr(args) -> int:
         "n_valid": len(ingest.valid),
         "n_test": len(ingest.test),
         "subsample_indices": [int(i) for i in ingest.subsample_indices],
-        "max_actions": spec.max_actions,
+        "max_actions": RANK_MAX_ACTIONS,
     }
     Path(args.out).write_text(json.dumps(summary, indent=2))
     if args.export:

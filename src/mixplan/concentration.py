@@ -149,8 +149,7 @@ class BernoulliChain:
 
     kind="iid" keeps the success probability fixed at p; kind="adapted"
     lets it drift with the realized history mean (still predictable, so
-    the martingale statements apply); kind="constant" emits the constant
-    value p with zero conditional variance.
+    the martingale statements apply).
     """
 
     horizon: int
@@ -163,9 +162,6 @@ class BernoulliChain:
     def simulate(self, rng: np.random.Generator, trials: int):
         """Return (X, P): realized values and conditional means, (trials, T)."""
         T = self.horizon
-        if self.kind == "constant":
-            X = np.full((trials, T), self.p)
-            return X, X.copy()
         if self.kind == "iid":
             P = np.full((trials, T), self.p)
             X = (rng.random((trials, T)) < self.p).astype(np.float64)

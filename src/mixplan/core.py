@@ -3,8 +3,10 @@
 A bandit instance bundles the feature geometry, the reward model, and the
 context distribution. Everything downstream (planner, sampler, estimator,
 harness) speaks in these types. All of them are immutable after
-construction and safe to share across threads; random generators are
-always passed in explicitly and owned by the caller, never stored.
+construction and safe to share across threads, except the instance of
+``environments.make_rank_instance``, whose stream advances a hidden cursor.
+Random generators are always passed in explicitly and owned by the caller,
+never stored.
 """
 
 from __future__ import annotations
@@ -110,31 +112,19 @@ class BanditInstance:
             raise ConfigurationError("instance needs theta_star or a reward_fn")
 
     def reward(self, context: Context, action_index: int, rng: np.random.Generator) -> float:
-        """Reward feedback for choosing ``action_index`` in ``context``."""
+        """Reward for ``action_index`` in ``context``: ``reward_fn``'s value, or
+        the feature's inner product with theta_star plus noise_std times one
+        standard normal (none is drawn when noise_std = 0)."""
+        if context.d != self.d:
+            raise ContractViolation(f"context dimension {context.d} != instance dimension {self.d}")
         if not 0 <= action_index < context.n_actions:
             raise ContractViolation(f"action index {action_index} out of range")
         if self.reward_fn is not None:
             return float(self.reward_fn(context, action_index, rng))
-        return reward_draw(self, context.features[action_index], rng)
-
-
-def reward_draw(instance: BanditInstance, feature: np.ndarray, rng: np.random.Generator) -> float:
-    """Draw one reward: inner product with theta_star plus Gaussian noise.
-
-    With noise_std = 0 this is deterministic and exactly linear in the
-    feature vector.
-    """
-    feature = np.asarray(feature, dtype=np.float64)
-    if feature.shape != (instance.d,):
-        raise ContractViolation(f"feature has shape {feature.shape}, expected ({instance.d},)")
-    if not np.isfinite(feature).all():
-        raise ContractViolation("feature must be finite")
-    if instance.theta_star is None:
-        raise ContractViolation("reward_draw requires a linear instance (theta_star is unset)")
-    mean = float(feature @ instance.theta_star)
-    if instance.noise_std == 0.0:
-        return mean
-    return mean + instance.noise_std * float(rng.standard_normal())
+        mean = float(context.features[action_index] @ self.theta_star)
+        if self.noise_std == 0.0:
+            return mean
+        return mean + self.noise_std * float(rng.standard_normal())
 
 
 @dataclass(frozen=True)
@@ -181,9 +171,6 @@ class InteractionDataset:
 
     def __iter__(self):
         return iter(self.records)
-
-    def __getitem__(self, index):
-        return self.records[index]
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,16 @@ def _mahalanobis_rows(chol_lower: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", y, y))
 
 
+def _check_vector(x: np.ndarray, d: int) -> np.ndarray:
+    """``x`` as a one-row matrix, after checking it is a finite d-vector."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (d,):
+        raise ContractViolation(f"expected vector of length {d}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ContractViolation("non-finite entries in vector")
+    return x[None, :]
+
+
 def _check_rows(rows: np.ndarray, d: int) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != d:
@@ -70,27 +80,20 @@ class CovarianceSnapshot:
     """Immutable covariance state frozen at a switch point.
 
     A snapshot keeps only what its readers use: the read-only lower
-    Cholesky factor L (the matrix is L L^T), the log-determinant and its
-    index. Snapshots taken later dominate earlier ones in the PSD order,
+    Cholesky factor L (the matrix is L L^T) and the log-determinant.
+    Snapshots taken later dominate earlier ones in the PSD order,
     because the underlying matrix only ever gains positive semi-definite
     rank-one terms. Consequently inverse-metric norms can only shrink from
     one snapshot to the next.
     """
 
-    __slots__ = ("_chol", "log_det", "snapshot_index")
+    __slots__ = ("_chol", "log_det")
 
-    def __init__(self, chol: np.ndarray, log_det: float, snapshot_index: int):
+    def __init__(self, chol: np.ndarray, log_det: float):
         chol = np.array(chol, dtype=np.float64)
         chol.setflags(write=False)
         self._chol = chol
         self.log_det = float(log_det)
-        self.snapshot_index = int(snapshot_index)
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray, snapshot_index: int = 0) -> "CovarianceSnapshot":
-        chol = np.linalg.cholesky(np.asarray(matrix, dtype=np.float64))
-        log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        return cls(chol, log_det, snapshot_index)
 
     @property
     def factor(self) -> np.ndarray:
@@ -103,12 +106,7 @@ class CovarianceSnapshot:
 
     def mahalanobis(self, x: np.ndarray) -> float:
         """sqrt(x^T Sigma^{-1} x) via a triangular solve against the frozen factor."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.d,):
-            raise ContractViolation(f"expected vector of length {self.d}, got shape {x.shape}")
-        if not np.isfinite(x).all():
-            raise ContractViolation("non-finite entries in vector")
-        return float(_mahalanobis_rows(self._chol, x[None, :])[0])
+        return float(_mahalanobis_rows(self._chol, _check_vector(x, self.d))[0])
 
     def mahalanobis_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized ``mahalanobis`` over the rows of an (n, d) matrix."""
@@ -139,25 +137,21 @@ class RegularizedCovariance:
         self.alpha = float(alpha)
         self.norm_cap = norm_cap
         self.matrix = np.eye(self.d) * self.lambda_reg
-        self.update_count = 0
         self._chol = np.eye(self.d) * math.sqrt(self.lambda_reg)
         self._dirty = False
-        self._snapshots_taken = 0
         self._last_snapshot: CovarianceSnapshot | None = None
         # Upper bound on the log-determinant growth since _last_snapshot;
         # infinite once an update arrives without its snapshot norm.
         self._growth_bound = math.inf
 
     @classmethod
-    def from_state(cls, matrix: np.ndarray, lambda_reg: float,
-                   update_count: int = 0) -> "RegularizedCovariance":
+    def from_state(cls, matrix: np.ndarray, lambda_reg: float) -> "RegularizedCovariance":
         """Rebuild a cumulative covariance (alpha = 1, no norm gate) from its
         matrix, regularization included; the matrix is symmetrized as
         (M + M^T) / 2 and factored on first use."""
         matrix = np.asarray(matrix, dtype=np.float64)
         cov = cls(matrix.shape[0], lambda_reg, 1.0, norm_cap=None)
         cov.matrix = (matrix + matrix.T) * 0.5
-        cov.update_count = int(update_count)
         cov._dirty = True
         return cov
 
@@ -196,7 +190,6 @@ class RegularizedCovariance:
         outer = phi[:, None] * phi
         outer *= self.alpha
         self.matrix += outer
-        self.update_count += 1
         self._dirty = True
         if snapshot_norm is None:
             self._growth_bound = math.inf
@@ -211,20 +204,14 @@ class RegularizedCovariance:
 
     def mahalanobis(self, x: np.ndarray) -> float:
         """sqrt(x^T Sigma^{-1} x) against the current matrix."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.d,):
-            raise ContractViolation(f"expected vector of length {self.d}, got shape {x.shape}")
-        if not np.isfinite(x).all():
-            raise ContractViolation("non-finite entries in vector")
-        return float(_mahalanobis_rows(self.factor(), x[None, :])[0])
+        return float(_mahalanobis_rows(self.factor(), _check_vector(x, self.d))[0])
 
     def mahalanobis_rows(self, rows: np.ndarray) -> np.ndarray:
         return _mahalanobis_rows(self.factor(), _check_rows(rows, self.d))
 
     def snapshot(self) -> CovarianceSnapshot:
         """Freeze the current state. Later snapshots PSD-dominate earlier ones."""
-        snap = CovarianceSnapshot(self.factor(), self.log_det(), self._snapshots_taken)
-        self._snapshots_taken += 1
+        snap = CovarianceSnapshot(self.factor(), self.log_det())
         self._last_snapshot = snap
         self._growth_bound = 0.0
         return snap
@@ -243,9 +230,3 @@ class RegularizedCovariance:
         if snapshot is self._last_snapshot and self._growth_bound < _LOG2 - GROWTH_SLACK:
             return False
         return self.log_det() - snapshot.log_det > _LOG2
-
-    def det_ratio(self, snapshot: CovarianceSnapshot) -> float:
-        """det(current) / det(snapshot), computed from log determinants."""
-        if snapshot.d != self.d:
-            raise ContractViolation("snapshot dimension mismatch")
-        return math.exp(self.log_det() - snapshot.log_det)

@@ -227,14 +227,17 @@ def make_random_unit_instance(d: int, n_actions: int, seed: int = 0) -> BanditIn
 # ---------------------------------------------------------------------------
 
 
+#: Documents kept per query (the first in file order); norm cap of each row.
+RANK_MAX_ACTIONS = 20
+RANK_NORM_CAP = 1.0
+
+
 @dataclass(frozen=True)
 class RankDatasetSpec:
-    """Preprocessing constants for ranking files."""
+    """Dimensions of ranking files: raw coordinates and the subsample kept."""
 
     raw_dim: int = 700
     subsampled_dim: int = 300
-    max_actions: int = 20
-    norm_cap: float = 1.0
 
 
 @dataclass
@@ -325,7 +328,8 @@ def draw_subsample_indices(spec: RankDatasetSpec, seed: int) -> np.ndarray:
 
 def build_rank_contexts(groups: Sequence[QueryGroup], spec: RankDatasetSpec,
                         subsample_indices: np.ndarray) -> list[RankedContext]:
-    """Densify, truncate to max_actions, subsample coordinates, cap norms at 1.
+    """Densify, truncate to ``RANK_MAX_ACTIONS`` documents, subsample
+    coordinates, cap norms at ``RANK_NORM_CAP``.
 
     Rows whose post-subsampling norm exceeds the cap are rescaled onto the
     cap; all others are left untouched. Empty query groups are skipped with
@@ -338,8 +342,8 @@ def build_rank_contexts(groups: Sequence[QueryGroup], spec: RankDatasetSpec,
         if not group.rows:
             warnings.warn(f"query {group.qid} has no documents; skipped")
             continue
-        rows = group.rows[: spec.max_actions]
-        relevances = group.relevances[: spec.max_actions]
+        rows = group.rows[:RANK_MAX_ACTIONS]
+        relevances = group.relevances[:RANK_MAX_ACTIONS]
         dense = np.zeros((len(rows), len(indices)))
         for r, pairs in enumerate(rows):
             for idx, val in pairs:
@@ -351,7 +355,7 @@ def build_rank_contexts(groups: Sequence[QueryGroup], spec: RankDatasetSpec,
                 if j is not None:
                     dense[r, j] = val
         norms = np.linalg.norm(dense, axis=1)
-        scale = np.maximum(norms / spec.norm_cap, 1.0)
+        scale = np.maximum(norms / RANK_NORM_CAP, 1.0)
         dense = dense / scale[:, None]
         contexts.append(
             RankedContext(Context(group.qid, dense), np.array(relevances))
@@ -409,8 +413,10 @@ def make_rank_instance(ranked: Sequence[RankedContext],
     """Data-driven instance streaming ranked contexts in a fixed order.
 
     Rewards are the deterministic relevance labels (a misspecified linear
-    model); theta_star is unset. The stream raises ConfigurationError when
-    the supplied contexts are exhausted.
+    model); theta_star is unset. Unlike other instances this one is not
+    immutable: its stream advances a cursor hidden in a closure, so each
+    context is served once, and raises ConfigurationError when the supplied
+    contexts are exhausted.
     """
     if not ranked:
         raise ConfigurationError("no ranked contexts supplied")

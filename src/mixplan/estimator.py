@@ -1,10 +1,8 @@
 """Ridge extraction of the greedy policy and its evaluation.
 
-Fits theta_hat by regularized least squares on an interaction dataset,
-computes the confidence radius sqrt(beta) with its small- and large-space
-branches, and Monte-Carlo estimates the expected maximum uncertainty,
-policy value, and suboptimality of the extracted greedy policy over a
-held-out context set. Every application of the inverse covariance goes
+Fits theta_hat by regularized least squares on an interaction dataset and
+Monte-Carlo estimates the expected maximum uncertainty, policy value, and
+suboptimality of the extracted greedy policy over a held-out context set. Every application of the inverse covariance goes
 through a factorization solve.
 
 Evaluation runs in blocks: contexts with the same number of actions are
@@ -46,22 +44,6 @@ class RidgeEstimate:
     @property
     def d(self) -> int:
         return len(self.theta_hat)
-
-
-@dataclass(frozen=True)
-class ConfidenceRadius:
-    """sqrt(beta) bound on the Sigma'-weighted estimation error.
-
-    The radius is min(alpha1, alpha2) plus the regularization bias term
-    sqrt(lambda_reg) * theta_norm_bound. alpha1 exists only when the
-    state-action space is finite and its cardinality was supplied.
-    """
-
-    beta_sqrt: float
-    branch: str
-    theta_norm_bound: float
-    alpha1: Optional[float]
-    alpha2: float
 
 
 @dataclass(frozen=True)
@@ -118,7 +100,7 @@ def ridge_fit_arrays(features: np.ndarray, rewards: np.ndarray,
     if not np.isfinite(features).all():
         raise DataError("non-finite features in dataset")
     cov = RegularizedCovariance.from_state(lambda_reg * np.eye(d) + features.T @ features,
-                                           lambda_reg, update_count=n)
+                                           lambda_reg)
     rhs = features.T @ rewards
     theta = cho_solve(cho_factor(cov.matrix, lower=True), rhs)
     return RidgeEstimate(theta_hat=theta, sigma_prime_n=cov, n_samples=n)
@@ -132,40 +114,6 @@ def greedy_action(estimate: RidgeEstimate, context: Context) -> int:
         )
     scores = context.features @ estimate.theta_hat
     return int(np.argmax(scores))
-
-
-def beta_radius(d: int, state_action_count: Optional[int] = None, delta: float = 0.05,
-                lambda_reg: float = 1.0, theta_norm_bound: float = 1.0) -> ConfidenceRadius:
-    """Confidence radius sqrt(beta) for the ridge estimate.
-
-    For continuous context spaces the state-action count is undefined;
-    leave it as None and the large-space branch applies.
-    """
-    if not 0 < delta <= 1:
-        raise ConfigurationError("delta must lie in (0, 1]")
-    if lambda_reg < 0:
-        raise ConfigurationError("lambda_reg must be nonnegative")
-    if theta_norm_bound < 0:
-        raise ConfigurationError("theta_norm_bound must be nonnegative")
-    log_inv_delta = math.log(1.0 / delta)
-    alpha2 = 2.0 * math.sqrt(2.0 * d * math.log(6.0) + log_inv_delta)
-    alpha1 = None
-    if state_action_count is not None:
-        if state_action_count < 1:
-            raise ConfigurationError("state_action_count must be at least 1")
-        alpha1 = math.sqrt(2.0 * math.log(2.0 * state_action_count) + log_inv_delta)
-    if alpha1 is not None and alpha1 <= alpha2:
-        branch, base = "small_space", alpha1
-    else:
-        branch, base = "large_space", alpha2
-    beta_sqrt = base + math.sqrt(lambda_reg) * theta_norm_bound
-    return ConfidenceRadius(
-        beta_sqrt=beta_sqrt,
-        branch=branch,
-        theta_norm_bound=theta_norm_bound,
-        alpha1=alpha1,
-        alpha2=alpha2,
-    )
 
 
 def evaluate(estimate: RidgeEstimate, instance: BanditInstance,

@@ -188,7 +188,7 @@ class _TrialEnv:
 
 
 def _linear_env(instance: BanditInstance, config: RunConfig, seeds) -> _TrialEnv:
-    s_offline, s_eval = seeds
+    _, s_offline, _, _, s_eval = seeds
     offline_rng = np.random.default_rng(s_offline)
     eval_rng = np.random.default_rng(s_eval)
     offline_contexts = [instance.context_sampler(offline_rng) for _ in range(config.M)]
@@ -205,7 +205,7 @@ def _linear_env(instance: BanditInstance, config: RunConfig, seeds) -> _TrialEnv
 
 
 def _rank_env(ingest, config: RunConfig, seeds) -> _TrialEnv:
-    s_offline, s_stream = seeds
+    _, s_offline, s_stream, _, _ = seeds
     train: Sequence[RankedContext] = ingest.train
     offline_pool: Sequence[RankedContext] = ingest.valid if ingest.valid else ingest.train
     test: Sequence[RankedContext] = ingest.test if ingest.test else ingest.train
@@ -239,21 +239,20 @@ def _rank_env(ingest, config: RunConfig, seeds) -> _TrialEnv:
     )
 
 
-def _prepare_trial_env(config: RunConfig, trial: int) -> _TrialEnv:
-    ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(trial,))
-    s_env, s_offline, s_stream, s_policy, s_eval = ss.spawn(5)
+def _trial_seeds(config: RunConfig, trial: int) -> list:
+    """The trial's environment, offline, stream, policy and evaluation seeds."""
+    return np.random.SeedSequence(entropy=config.seed, spawn_key=(trial,)).spawn(5)
+
+
+def _prepare_trial_env(config: RunConfig, seeds) -> _TrialEnv:
     if config.environment == "synthetic":
-        instance = make_synthetic(seed=config.seed)
-        return _linear_env(instance, config, (s_offline, s_eval))
+        return _linear_env(make_synthetic(seed=config.seed), config, seeds)
     if config.environment == "hard_uniform":
-        return _linear_env(make_hard_uniform(config.n_actions), config, (s_offline, s_eval))
+        return _linear_env(make_hard_uniform(config.n_actions), config, seeds)
     if config.environment == "hard_goptimal":
-        return _linear_env(make_hard_goptimal(config.k), config, (s_offline, s_eval))
-    spec = RankDatasetSpec(
-        raw_dim=config.rank_raw_dim, subsampled_dim=config.rank_subsampled_dim
-    )
-    ingest = _cached_ingest(config.data_path, spec, config.seed)
-    return _rank_env(ingest, config, (s_offline, s_stream))
+        return _linear_env(make_hard_goptimal(config.k), config, seeds)
+    spec = RankDatasetSpec(raw_dim=config.rank_raw_dim, subsampled_dim=config.rank_subsampled_dim)
+    return _rank_env(_cached_ingest(config.data_path, spec, config.seed), config, seeds)
 
 
 _INGEST_CACHE: dict = {}
@@ -303,9 +302,9 @@ def _eval_points(horizon: int, eval_every: int) -> list[int]:
 def run_trial(config: RunConfig, trial: int) -> list[MetricRow]:
     """One trial: collect the online data, then fit and evaluate the
     extracted policy on its first n samples for every evaluation point n."""
-    ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(trial,))
-    _, _, s_stream, s_policy, _ = ss.spawn(5)
-    env = _prepare_trial_env(config, trial)
+    seeds = _trial_seeds(config, trial)
+    _, _, s_stream, s_policy, _ = seeds
+    env = _prepare_trial_env(config, seeds)
     policy = _collection_policy(config, env)
     stream_rng = np.random.default_rng(s_stream)
     points = _eval_points(env.horizon, config.eval_every)

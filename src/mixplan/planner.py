@@ -66,9 +66,6 @@ class UncertaintyTrace:
     values: np.ndarray
     actions: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def _check_phase_starts(phase_starts, M: int) -> tuple:
     starts = tuple(int(v) for v in phase_starts)
@@ -83,10 +80,10 @@ def _check_phase_starts(phase_starts, M: int) -> tuple:
     return starts
 
 
-def _check_features(features, M: int, d: int) -> np.ndarray:
+def _check_features(features) -> np.ndarray:
     features = np.array(features, dtype=np.float64)
-    if features.shape != (M, d):
-        raise ConfigurationError(f"features have shape {features.shape}, expected ({M}, {d})")
+    if features.ndim != 2:
+        raise ConfigurationError(f"features must be an (M, d) array, got shape {features.shape}")
     if not np.isfinite(features).all():
         raise ConfigurationError("features must be finite")
     features.setflags(write=False)
@@ -114,25 +111,31 @@ class MixturePolicy:
     Only the K distinct snapshot policies are kept; drawing a step index
     m uniformly from [1, M] and mapping it to its phase reproduces the full
     mixture. ``features`` (read-only, M x d) are the planner's chosen
-    features, from which ``save``/``load`` rebuild the snapshots. Immutable
-    and freely shareable across threads.
+    features, from which ``save``/``load`` rebuild the snapshots; M and d
+    are its shape. Immutable and freely shareable across threads.
     """
 
     snapshots: Sequence[CovarianceSnapshot]
     phase_starts: Sequence[int]
-    M: int
-    d: int
     lambda_reg: float
     alpha: float
     features: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "features", _check_features(self.features))
         starts = _check_phase_starts(self.phase_starts, self.M)
         if len(starts) != len(self.snapshots):
             raise ConfigurationError("phase_starts and snapshots must align")
         object.__setattr__(self, "phase_starts", starts)
         object.__setattr__(self, "snapshots", tuple(self.snapshots))
-        object.__setattr__(self, "features", _check_features(self.features, self.M, self.d))
+
+    @property
+    def M(self) -> int:
+        return self.features.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.features.shape[1]
 
     @property
     def snapshot_count(self) -> int:
@@ -174,7 +177,7 @@ class MixturePolicy:
         Raises ConfigurationError for anything that is not such an artifact:
         an unreadable or truncated file, a missing key, another format or
         version, a JSON artifact of an older release, or features that are
-        not a finite (M, d) array.
+        not a finite array of M rows.
         """
         payload = read_artifact(
             path, ARTIFACT_FORMAT, ARTIFACT_VERSION,
@@ -191,13 +194,12 @@ class MixturePolicy:
         raw = payload["features"]
         if raw.ndim != 2 or raw.dtype.kind != "f":
             raise ConfigurationError(f"features must be a 2-d float array, got {raw.shape}")
-        d = raw.shape[1]
-        features = _check_features(raw, M, d)
+        if raw.shape[0] != M:
+            raise ConfigurationError(f"features have {raw.shape[0]} rows, expected M={M}")
+        features = _check_features(raw)
         return cls(
             snapshots=_replay_snapshots(features, starts, lambda_reg, alpha),
             phase_starts=starts,
-            M=M,
-            d=d,
             lambda_reg=lambda_reg,
             alpha=alpha,
             features=features,
@@ -270,8 +272,6 @@ def plan(contexts: Iterable[Context], config: ExperimentConfig, *,
     policy = MixturePolicy(
         snapshots=snapshots,
         phase_starts=phase_starts,
-        M=M,
-        d=d,
         lambda_reg=config.lambda_reg,
         alpha=config.alpha,
         features=chosen,

@@ -31,7 +31,13 @@ from mixplan import (
     switch_bound_check,
 )
 from mixplan.core import InteractionDataset, InteractionRecord
-from mixplan.environments import RankDatasetSpec, build_rank_contexts, parse_rank_file
+from mixplan.environments import (
+    RANK_MAX_ACTIONS,
+    RANK_NORM_CAP,
+    RankDatasetSpec,
+    build_rank_contexts,
+    parse_rank_file,
+)
 
 from conftest import unit_ball_contexts
 
@@ -267,11 +273,11 @@ def test_criterion_09_uncertainty_scaling():
 def test_criterion_10_ingestion_golden_round_trip():
     start = time.perf_counter()
     golden = json.loads((DATA / "rank_fixture_golden.json").read_text())
+    assert golden["spec"]["max_actions"] == RANK_MAX_ACTIONS
+    assert golden["spec"]["norm_cap"] == RANK_NORM_CAP
     spec = RankDatasetSpec(
         raw_dim=golden["spec"]["raw_dim"],
         subsampled_dim=golden["spec"]["subsampled_dim"],
-        max_actions=golden["spec"]["max_actions"],
-        norm_cap=golden["spec"]["norm_cap"],
     )
     contexts = build_rank_contexts(
         parse_rank_file(DATA / "rank_fixture.txt"),

@@ -120,7 +120,7 @@ def test_bernstein_coverage_iid():
 
 def test_constant_zero_process_never_violates():
     report = coverage_test(
-        BernoulliChain(horizon=50, kind="constant", p=0.0),
+        BernoulliChain(horizon=50, kind="iid", p=0.0),
         reverse_bernstein_pair, trials=500, delta=0.05, seed=3,
     )
     assert report.violations == 0

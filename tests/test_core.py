@@ -9,7 +9,6 @@ from mixplan import (
     ExperimentConfig,
     InteractionDataset,
     InteractionRecord,
-    reward_draw,
 )
 
 from conftest import make_context
@@ -28,12 +27,13 @@ def _fixed_instance(theta, noise_std=0.0):
 
 def test_reward_draw_noiseless_identity(rng):
     instance = _fixed_instance([1.0, 0.0])
-    assert reward_draw(instance, np.array([1.0, 0.0]), rng) == 1.0
+    context = make_context(np.eye(2))
+    assert instance.reward(context, 0, rng) == 1.0
 
 
 def test_reward_draw_orthogonal_case(rng):
     instance = _fixed_instance([1.0, -1.0])
-    assert reward_draw(instance, np.array([0.5, 0.5]), rng) == 0.0
+    assert instance.reward(make_context([[0.5, 0.5]]), 0, rng) == 0.0
 
 
 def test_reward_draw_law_of_large_numbers():
@@ -42,7 +42,8 @@ def test_reward_draw_law_of_large_numbers():
     instance = _fixed_instance(theta, noise_std=1.0)
     phi = rng.normal(size=6)
     phi /= np.linalg.norm(phi)
-    draws = np.array([reward_draw(instance, phi, rng) for _ in range(100_000)])
+    context = make_context([phi])
+    draws = np.array([instance.reward(context, 0, rng) for _ in range(100_000)])
     assert abs(draws.mean() - float(phi @ theta)) < 3e-2
 
 
@@ -50,16 +51,42 @@ def test_reward_draw_noiseless_is_linear(rng):
     instance = _fixed_instance([2.0, -3.0, 0.5])
     x = np.array([0.1, 0.2, 0.3])
     y = np.array([-0.3, 0.0, 0.4])
-    rx = reward_draw(instance, x, rng)
-    ry = reward_draw(instance, y, rng)
-    rxy = reward_draw(instance, x + y, rng)
+    context = make_context([x, y, x + y])
+    rx, ry, rxy = (instance.reward(context, a, rng) for a in range(3))
     assert rxy == pytest.approx(rx + ry, abs=1e-15)
 
 
 def test_reward_draw_dimension_mismatch(rng):
     instance = _fixed_instance([1.0, 0.0])
-    with pytest.raises(ContractViolation):
-        reward_draw(instance, np.array([1.0, 0.0, 0.0]), rng)
+    with pytest.raises(ContractViolation, match="dimension"):
+        instance.reward(make_context([[1.0, 0.0, 0.0]]), 0, rng)
+
+
+def test_reward_is_mean_plus_scaled_normal_bit_for_bit():
+    rng = np.random.default_rng(8)
+    theta = rng.normal(size=5)
+    instance = _fixed_instance(theta, noise_std=0.7)
+    context = make_context(rng.normal(size=(4, 5)))
+    draws, replay = np.random.default_rng(9), np.random.default_rng(9)
+    for a in (0, 3, 1, 2, 3):
+        expected = float(context.features[a] @ theta) + 0.7 * float(replay.standard_normal())
+        assert instance.reward(context, a, draws) == expected
+
+
+def test_noiseless_reward_leaves_the_generator_untouched():
+    instance = _fixed_instance([0.5, -2.0])
+    rng = np.random.default_rng(10)
+    before = rng.bit_generator.state
+    instance.reward(make_context([[0.3, 0.4], [1.0, 0.0]]), 1, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_reward_rejects_out_of_range_actions(rng):
+    instance = _fixed_instance([1.0, 0.0])
+    context = make_context(np.eye(2))
+    for action in (-1, 2):
+        with pytest.raises(ContractViolation, match="out of range"):
+            instance.reward(context, action, rng)
 
 
 def test_seeded_runs_are_bit_reproducible():
@@ -139,3 +166,9 @@ def test_config_default_alpha_caps_at_one():
 def test_config_validation(kwargs):
     with pytest.raises(ConfigurationError):
         ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["beta_radius", "ConfidenceRadius", "reward_draw"])
+def test_removed_names_are_not_exported(name):
+    with pytest.raises(ImportError):
+        exec(f"from mixplan import {name}", {})

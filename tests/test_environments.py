@@ -21,6 +21,8 @@ from mixplan import (
     make_synthetic,
 )
 from mixplan.environments import (
+    RANK_MAX_ACTIONS,
+    RANK_NORM_CAP,
     QueryGroup,
     build_rank_contexts,
     draw_subsample_indices,
@@ -312,11 +314,11 @@ def test_fixture_norms_capped():
 
 def test_fixture_matches_committed_golden():
     golden = json.loads((DATA / "rank_fixture_golden.json").read_text())
+    assert golden["spec"]["max_actions"] == RANK_MAX_ACTIONS
+    assert golden["spec"]["norm_cap"] == RANK_NORM_CAP
     spec = RankDatasetSpec(
         raw_dim=golden["spec"]["raw_dim"],
         subsampled_dim=golden["spec"]["subsampled_dim"],
-        max_actions=golden["spec"]["max_actions"],
-        norm_cap=golden["spec"]["norm_cap"],
     )
     groups = parse_rank_file(DATA / "rank_fixture.txt")
     contexts = build_rank_contexts(

@@ -19,7 +19,6 @@ from mixplan import (
     Context,
     EvaluationReport,
     RidgeEstimate,
-    beta_radius,
     evaluate,
     greedy_action,
     ridge_fit,
@@ -102,38 +101,6 @@ def test_greedy_action_matches_scan_oracle():
         scores = [float(row @ estimate.theta_hat) for row in context.features]
         oracle = max(range(20), key=lambda a: (scores[a], -a))
         assert greedy_action(estimate, context) == oracle
-
-
-def test_beta_radius_large_space_formula():
-    radius = beta_radius(d=1, state_action_count=None, delta=1.0, lambda_reg=0.0)
-    expected = 2.0 * math.sqrt(2.0 * math.log(6.0))
-    assert radius.alpha2 == pytest.approx(expected, rel=1e-12)
-    assert radius.beta_sqrt == pytest.approx(expected, rel=1e-12)
-    assert radius.branch == "large_space"
-    assert radius.alpha1 is None
-    assert radius.beta_sqrt == pytest.approx(3.786, abs=2e-3)
-
-
-def test_beta_radius_small_space_branch():
-    radius = beta_radius(d=1, state_action_count=1, delta=1.0, lambda_reg=0.0)
-    assert radius.alpha1 == pytest.approx(math.sqrt(2.0 * math.log(2.0)), rel=1e-12)
-    assert radius.alpha1 == pytest.approx(1.177, abs=1e-3)
-    assert radius.branch == "small_space"
-    assert radius.beta_sqrt == radius.alpha1
-
-
-def test_beta_radius_regularization_term_is_additive():
-    base = beta_radius(d=4, state_action_count=50, delta=0.1, lambda_reg=0.0)
-    shifted = beta_radius(d=4, state_action_count=50, delta=0.1, lambda_reg=4.0,
-                          theta_norm_bound=1.0)
-    assert shifted.beta_sqrt - base.beta_sqrt == pytest.approx(2.0, rel=1e-12)
-
-
-def test_beta_radius_validation():
-    with pytest.raises(ConfigurationError):
-        beta_radius(d=2, delta=0.0)
-    with pytest.raises(ConfigurationError):
-        beta_radius(d=2, delta=0.5, state_action_count=0)
 
 
 def _instance_with_contexts(theta, contexts):
@@ -324,7 +291,7 @@ def test_prefix_slice_fit_equals_ridge_fit_on_prefix_dataset(d, total, data):
     dataset = _dataset(rng.normal(size=(total, d)), rng.normal(size=total))
     features, rewards = dataset.feature_matrix(), dataset.rewards()
     sliced = ridge_fit_arrays(features[:n], rewards[:n], 0.5)
-    direct = ridge_fit(InteractionDataset(d, dataset[:n]), 0.5)
+    direct = ridge_fit(InteractionDataset(d, dataset.records[:n]), 0.5)
     assert sliced.theta_hat.tobytes() == direct.theta_hat.tobytes()
     assert sliced.sigma_prime_n.matrix.tobytes() == direct.sigma_prime_n.matrix.tobytes()
     assert sliced.n_samples == direct.n_samples == n

@@ -18,7 +18,7 @@ from mixplan.cli import main as cli_main
 from mixplan import harness
 from mixplan.artifact import write_artifact
 from mixplan.environments import generate_standin_file
-from mixplan.harness import _eval_points, _prepare_trial_env, run_trial
+from mixplan.harness import _eval_points, _prepare_trial_env, _trial_seeds, run_trial
 
 
 def _tiny_config(tmp_path, **overrides):
@@ -88,12 +88,13 @@ def test_run_experiment_is_bit_reproducible(tmp_path):
 
 def test_trials_differ_but_algorithms_share_streams(tmp_path):
     config = _tiny_config(tmp_path, algorithm="random")
-    env_random = _prepare_trial_env(config, trial=0)
-    env_planner = _prepare_trial_env(_tiny_config(tmp_path), trial=0)
+    env_random = _prepare_trial_env(config, _trial_seeds(config, 0))
+    planner_config = _tiny_config(tmp_path)
+    env_planner = _prepare_trial_env(planner_config, _trial_seeds(planner_config, 0))
     ids_random = [c.context_id for c in env_random.offline_contexts]
     ids_planner = [c.context_id for c in env_planner.offline_contexts]
     assert ids_random == ids_planner
-    other_trial = _prepare_trial_env(config, trial=1)
+    other_trial = _prepare_trial_env(config, _trial_seeds(config, 1))
     assert ids_random != [c.context_id for c in other_trial.offline_contexts]
 
 
@@ -317,7 +318,7 @@ def test_cli_plan_and_run_experiment_share_the_alpha_default(tmp_path):
     planned = MixturePolicy.load(policy_path)
     config = RunConfig(environment="hard_uniform", algorithm="planner_sampler",
                        M=100, N=200, seed=5)
-    harnessed = harness._collection_policy(config, _prepare_trial_env(config, 0))
+    harnessed = harness._collection_policy(config, _prepare_trial_env(config, _trial_seeds(config, 0)))
     assert planned.alpha == harnessed.alpha == 1.0
     assert planned.phase_starts == harnessed.phase_starts
     assert np.array_equal(planned.features, harnessed.features)

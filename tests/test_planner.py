@@ -21,7 +21,6 @@ from mixplan import (
     sample,
     switch_count_budget,
 )
-from mixplan.covariance import CovarianceSnapshot
 
 from conftest import make_context, unit_ball_contexts
 
@@ -220,10 +219,14 @@ def test_plan_norm_cap_enforced_by_default():
     assert policy.snapshot_count == 1
 
 
+def _snapshot_of(matrix):
+    return RegularizedCovariance.from_state(np.asarray(matrix, dtype=np.float64), 1.0).snapshot()
+
+
 def _single_phase_policy(matrix, M=10):
-    snap = CovarianceSnapshot.from_matrix(np.asarray(matrix, dtype=np.float64))
+    snap = _snapshot_of(matrix)
     return MixturePolicy(
-        snapshots=[snap], phase_starts=[1], M=M, d=snap.d, lambda_reg=1.0, alpha=1.0,
+        snapshots=[snap], phase_starts=[1], lambda_reg=1.0, alpha=1.0,
         features=np.zeros((M, snap.d)),
     )
 
@@ -244,11 +247,9 @@ def test_policy_action_snapshot_metric():
 def test_policy_action_phase_frequencies():
     # Two phases of lengths 30 and 70; the snapshots are rigged so the
     # chosen action reveals which phase was drawn.
-    snap_a = CovarianceSnapshot.from_matrix(np.eye(2))
-    snap_b = CovarianceSnapshot.from_matrix(np.diag([10.0, 1.0]))
     policy = MixturePolicy(
-        snapshots=[snap_a, snap_b], phase_starts=[1, 31], M=100,
-        d=2, lambda_reg=1.0, alpha=1.0, features=np.zeros((100, 2)),
+        snapshots=[_snapshot_of(np.eye(2)), _snapshot_of(np.diag([10.0, 1.0]))],
+        phase_starts=[1, 31], lambda_reg=1.0, alpha=1.0, features=np.zeros((100, 2)),
     )
     context = make_context([[0.9, 0.0], [0.0, 0.5]])
     # snapshot A: norms (0.9, 0.5) -> action 0; snapshot B: (0.28, 0.5) -> action 1
@@ -265,19 +266,22 @@ def test_policy_dimension_check():
 
 
 def test_policy_invariant_validation():
-    snap = CovarianceSnapshot.from_matrix(np.eye(2))
+    snap = _snapshot_of(np.eye(2))
     features = np.zeros((10, 2))
-    common = dict(M=10, d=2, lambda_reg=1.0, alpha=1.0)
+    common = dict(lambda_reg=1.0, alpha=1.0)
     with pytest.raises(ConfigurationError):
         MixturePolicy(snapshots=[snap], phase_starts=[2], features=features, **common)
     with pytest.raises(ConfigurationError):
         MixturePolicy(snapshots=[snap, snap], phase_starts=[1, 1], features=features, **common)
     with pytest.raises(ConfigurationError):
-        MixturePolicy(snapshots=[snap], phase_starts=[1], features=np.zeros((9, 2)), **common)
+        MixturePolicy(snapshots=[snap], phase_starts=[1], features=np.zeros(10), **common)
     with pytest.raises(ConfigurationError):
         MixturePolicy(snapshots=[snap], phase_starts=[1],
                       features=np.full((10, 2), np.nan), **common)
+    with pytest.raises(ConfigurationError):
+        MixturePolicy(snapshots=[snap], phase_starts=[11], features=features, **common)
     policy = MixturePolicy(snapshots=[snap], phase_starts=[1], features=features, **common)
+    assert (policy.M, policy.d) == (10, 2)
     with pytest.raises(ValueError):
         policy.features[0, 0] = 1.0
 
@@ -292,7 +296,6 @@ def _assert_same_policy(loaded, policy):
     for a, b in zip(policy.snapshots, loaded.snapshots):
         assert a.factor.tobytes() == b.factor.tobytes()
         assert a.log_det == b.log_det
-        assert a.snapshot_index == b.snapshot_index
 
 
 def test_policy_artifact_round_trip_is_bit_exact(tmp_path):

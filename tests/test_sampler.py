@@ -49,7 +49,7 @@ def test_sample_single_noiseless_record(rng):
     policy, _ = _plan_on(instance, 3)
     dataset = sample(policy, instance, 1, rng)
     assert len(dataset) == 1
-    record = dataset[0]
+    record = dataset.records[0]
     expected = float(record.feature @ instance.theta_star)
     assert record.reward == expected
 
