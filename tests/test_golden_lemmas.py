@@ -5,13 +5,16 @@ and ``plan`` on the knife-edge fixtures (basis-vector instances, where one
 update can multiply the determinant by exactly 2) must take the same
 snapshots, actions, values, factors and log-determinants. The digests
 were recorded before the planner learned to skip the exact doubling test
-while the log-determinant growth bound stays below log 2. Each check runs
+while the log-determinant growth bound stays below log 2; the long-phase
+fixtures (``hard_uniform_long``, ``random_d20``) were recorded while it
+still chose and applied one context at a time. Each check runs
 in a fresh interpreter at one and at two BLAS threads, because the thread
 count is fixed when numpy loads.
 """
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -40,6 +43,8 @@ PLAN_DIGESTS = {
     "nonconcentrating": "bc22a485ce1672a5ce70a538d9017e028f4f6a8076b3ffdf02b59153a6d5e92a",
     "random_d8": "1730f7c78c5fbd8dd5255fb79740f87efabf53729486a952d773e3bb2b974a0b",
     "random_d8_weak": "73971e280a75cbb4d02c3f25b790f9fa8914cbf5789ece748686e29ff27a29f6",
+    "hard_uniform_long": "9f8627414602bfea1aba32dcd3abded0d221073318f00354b8ba13e047fff051",
+    "random_d20": "951eb6d4d6bb6eb1c958474ee6434766497e75859465a0f500590ec3240003b7",
 }
 
 _FIXTURES = {
@@ -51,6 +56,9 @@ _FIXTURES = {
     "nonconcentrating": (lambda: make_hard_nonconcentrating(d=6, M=400), 400, 0.05, 1.0),
     "random_d8": (lambda: make_random_unit_instance(8, 5, seed=3), 400, 1.0, 1.0),
     "random_d8_weak": (lambda: make_random_unit_instance(8, 5, seed=4), 400, 0.5, 0.3),
+    # The lab's sandwich regime: a few phases thousands of steps long.
+    "hard_uniform_long": (lambda: make_hard_uniform(10), 3000, 24.0 * math.log(80.0), 50.0 / 3000),
+    "random_d20": (lambda: make_random_unit_instance(20, 10, seed=5), 2000, 1.0, 1.0),
 }
 
 
