@@ -17,9 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .core import BanditInstance, ConfigurationError, ExperimentConfig
-from .covariance import CovarianceSnapshot, RegularizedCovariance
-from .estimator import _context_blocks
-from .planner import MixturePolicy, plan, switch_count_budget
+from .covariance import RegularizedCovariance, _add_outer_products
+from .planner import MixturePolicy, _greedy_block, plan, switch_count_budget
 from .sampler import sample
 
 #: Slack on the squared elliptical-potential bound.
@@ -349,23 +348,6 @@ class SandwichResult:
         }
 
 
-def _snapshot_choices(snapshot: CovarianceSnapshot, contexts) -> np.ndarray:
-    """The feature row each context's uncertainty argmax under ``snapshot``
-    picks, in context order, as ``MixturePolicy.snapshot_action`` would pick
-    it: one solve per block of contexts with two or more actions; a
-    single-action context has nothing to choose."""
-    picked = np.empty((len(contexts), snapshot.d))
-    for block, feats in _context_blocks(contexts, snapshot.d):
-        g, n_actions, d = feats.shape
-        if n_actions == 1:
-            chosen = np.zeros(g, dtype=np.int64)
-        else:
-            norms = snapshot.mahalanobis_rows(feats.reshape(g * n_actions, d))
-            chosen = np.argmax(norms.reshape(g, n_actions), axis=1)
-        picked[block] = feats[np.arange(g), chosen]
-    return picked
-
-
 def sandwich_check(instance: BanditInstance, config: ExperimentConfig, trials: int,
                    seed: int, n_expectation_contexts: int = 128) -> SandwichResult:
     """Monte-Carlo check of the offline and online covariance bounds.
@@ -402,8 +384,7 @@ def sandwich_check(instance: BanditInstance, config: ExperimentConfig, trials: i
             # first leaves the stream as it was.
             contexts = [instance.context_sampler(rng_mc) for _ in range(n_expectation_contexts)]
             expected = np.zeros((instance.d, instance.d))
-            for phi in _snapshot_choices(snap, contexts):
-                expected += np.outer(phi, phi)
+            _add_outer_products(expected, _greedy_block(snap, contexts)[2], 1.0)
             expected /= n_expectation_contexts
             sigma_bar += alpha * float(lengths[k]) * expected
 

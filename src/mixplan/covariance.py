@@ -15,9 +15,16 @@ exact test only when a free bound cannot rule it out: by the matrix
 determinant lemma, an update by phi raises the log-determinant by
 log1p(alpha * phi^T Sigma^{-1} phi), which is at most log1p(alpha * u^2)
 with u the norm of phi against the last snapshot (Sigma dominates it).
-Callers that already hold u pass it to ``rank_one_update``; while the sum
-of those terms stays below log 2 minus ``GROWTH_SLACK``, the determinant
+Callers that already hold u pass it with the update; while the sum of
+those terms stays below log 2 minus ``GROWTH_SLACK``, the determinant
 cannot have doubled and no factorization is needed.
+
+``rank_one_updates`` adds a block of rows in step order, bit for bit as one
+``rank_one_update`` per row would. Given the rows' snapshot norms it stops
+after the first row that leaves the growth bound at or above that screen,
+so the caller runs the exact ``doubled_since`` test before the next step:
+a planner can choose a whole block of steps against one snapshot and still
+take the snapshots that an exact test at every step would take.
 
 ``RegularizedCovariance`` is single-writer; hand out ``CovarianceSnapshot``
 objects (immutable) for concurrent readers.
@@ -41,6 +48,51 @@ NORM_TOLERANCE = 1e-9
 GROWTH_SLACK = 1e-6
 
 _LOG2 = math.log(2.0)
+
+#: A growth bound below this clears the screen of ``doubled_since``.
+_SCREEN = _LOG2 - GROWTH_SLACK
+
+#: Floats one stacked block of work may hold (2**16 float64, 512 KiB): the
+#: d x d terms of a block of updates here, and the stacked feature rows of
+#: an evaluation block in ``mixplan.estimator``.
+_BLOCK_FLOATS = 1 << 16
+
+
+def _block_rows(d: int) -> int:
+    """The most rows whose d x d outer products fit in ``_BLOCK_FLOATS``."""
+    return max(1, _BLOCK_FLOATS // (d * d))
+
+
+def _add_outer_products(matrix: np.ndarray, rows: np.ndarray, scale: float) -> None:
+    """``matrix += scale * phi phi^T`` for each row phi, in row order and in
+    place, bit for bit as one ``outer = phi[:, None] * phi; outer *= scale;
+    matrix += outer`` per row.
+
+    scale * phi_i * phi_j is bit-for-bit symmetric, so a symmetric matrix
+    stays exactly symmetric. Scaling a finite product by 1.0 changes no bit,
+    so that pass is skipped. A single row, the planner's step at large d,
+    takes exactly that arithmetic. The products of a block of rows are
+    formed in one stacked multiply and then added one at a time, in row
+    order. All blocks of a call share one buffer: at d = 300, a fresh product
+    array per block of a short phase made the policy replay fault in new
+    pages and run about 20 % slower.
+    """
+    if len(rows) == 1:
+        outer = rows[0][:, None] * rows[0]
+        if scale != 1.0:
+            outer *= scale
+        matrix += outer
+        return
+    d = matrix.shape[0]
+    step = _block_rows(d)
+    work = np.empty((min(len(rows), step), d, d))
+    for first in range(0, len(rows), step):
+        block = rows[first:first + step]
+        terms = np.multiply(block[:, :, None], block[:, None, :], out=work[:len(block)])
+        if scale != 1.0:
+            terms *= scale
+        for term in terms:
+            matrix += term
 
 
 def _mahalanobis_rows(chol_lower: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -162,12 +214,19 @@ class RegularizedCovariance:
             self._dirty = False
         return self._chol
 
-    def _gate(self, phi: np.ndarray) -> None:
-        if not np.isfinite(phi).all():
-            raise ContractViolation("non-finite feature vector")
-        if self.norm_cap is not None:
-            norm = math.sqrt(float(phi.dot(phi)))  # np.linalg.norm's arithmetic
-            if norm > self.norm_cap + NORM_TOLERANCE:
+    def _gate(self, rows: np.ndarray) -> None:
+        """Reject rows longer than the norm cap."""
+        if self.norm_cap is None:
+            return
+        limit = self.norm_cap + NORM_TOLERANCE
+        # A vectorized squared norm can differ from phi.dot(phi) in its last
+        # bits, so rows anywhere near the cap take the per-row arithmetic
+        # (np.linalg.norm's) that decides.
+        if len(rows) > 1:
+            rows = rows[np.einsum("ij,ij->i", rows, rows) > (limit * (1.0 - 1e-6)) ** 2]
+        for phi in rows:
+            norm = math.sqrt(float(phi.dot(phi)))
+            if norm > limit:
                 raise ContractViolation(
                     f"feature norm {norm:.6g} exceeds cap {self.norm_cap:.6g}; "
                     "rescale at ingestion instead"
@@ -181,22 +240,39 @@ class RegularizedCovariance:
         took, if the caller has it; it lets ``doubled_since`` skip the exact
         test (see the module docstring).
         """
-        phi = np.asarray(feature, dtype=np.float64)
-        if phi.shape != (self.d,):
-            raise ContractViolation(f"expected vector of length {self.d}, got shape {phi.shape}")
-        self._gate(phi)
-        # alpha * phi_i * phi_j is bit-for-bit symmetric, so the in-place
-        # sum stays exactly symmetric without a symmetrizing copy.
-        outer = phi[:, None] * phi
-        outer *= self.alpha
-        self.matrix += outer
-        self._dirty = True
-        if snapshot_norm is None:
-            self._growth_bound = math.inf
-        else:
-            u = float(snapshot_norm)
-            self._growth_bound += math.log1p(self.alpha * u * u)
+        self.rank_one_updates(_check_vector(feature, self.d),
+                              None if snapshot_norm is None else [snapshot_norm])
         return self
+
+    def rank_one_updates(self, rows: np.ndarray, snapshot_norms: np.ndarray | None = None) -> int:
+        """Add alpha * phi phi^T for each row phi of ``rows``, in order and
+        bit for bit as adding them one at a time; return how many rows were
+        added.
+
+        Without ``snapshot_norms`` every row is added and the growth bound
+        becomes unknown. With them (each row's norm against the last
+        snapshot this object took), rows are added up to and including the
+        first one after which the growth bound no longer clears the screen
+        of ``doubled_since``; the caller runs that test before the next step.
+        """
+        rows = _check_rows(rows, self.d)
+        if snapshot_norms is None:
+            count, bound = len(rows), math.inf
+        else:
+            count, bound = 0, self._growth_bound
+            for u in np.asarray(snapshot_norms, dtype=np.float64).tolist():
+                bound += math.log1p(self.alpha * u * u)
+                count += 1
+                if not bound < _SCREEN:
+                    break
+        if count == 0:
+            return 0
+        rows = rows[:count]
+        self._gate(rows)
+        _add_outer_products(self.matrix, rows, self.alpha)
+        self._dirty = True
+        self._growth_bound = bound
+        return count
 
     def log_det(self) -> float:
         chol = self.factor()
@@ -227,6 +303,6 @@ class RegularizedCovariance:
         """
         if snapshot is None:
             return True
-        if snapshot is self._last_snapshot and self._growth_bound < _LOG2 - GROWTH_SLACK:
+        if snapshot is self._last_snapshot and self._growth_bound < _SCREEN:
             return False
         return self.log_det() - snapshot.log_det > _LOG2

@@ -30,7 +30,7 @@ from .core import (
     DataError,
     InteractionDataset,
 )
-from .covariance import RegularizedCovariance
+from .covariance import _BLOCK_FLOATS, RegularizedCovariance
 
 
 @dataclass(frozen=True)
@@ -138,10 +138,6 @@ def evaluate_values(estimate: RidgeEstimate, eval_contexts: Sequence[Context],
     recorded relevance labels for a data-driven instance)."""
     return _evaluate_blocks(estimate, eval_contexts,
                             lambda block, feats: np.stack([true_values[i] for i in block]))
-
-
-#: Feature floats stacked into one evaluation block (2**16 float64, 512 KiB).
-_BLOCK_FLOATS = 1 << 16
 
 
 def _context_blocks(contexts: Sequence[Context], d: int):

@@ -8,12 +8,19 @@ more than doubled since the last snapshot. The result is a mixture policy:
 a uniform mixture over the per-step policies, held in memory as the K
 distinct snapshots plus the step at which each phase begins.
 
-A step costs one triangular solve against the snapshot. The covariance is
-factored only at a new snapshot and when the log-determinant growth bound
-summed from those solves (see ``mixplan.covariance``) comes within
-``GROWTH_SLACK`` of log 2, where the exact doubling test runs. The bound
-only screens out exact tests that cannot fire, so the snapshots are the
-ones an exact test at every step would take.
+Within a phase every step measures against the same snapshot, so ``plan``
+works a phase in blocks of steps. It chooses a block's actions with one
+triangular solve per action count (``_greedy_block``) and hands the chosen
+rows to ``RegularizedCovariance.rank_one_updates``, which adds them in step
+order. That call stops after the first step whose log-determinant growth
+bound (see ``mixplan.covariance``) comes within ``GROWTH_SLACK`` of log 2.
+The next step then runs the exact doubling test; if it fires, the rest of
+the block is chosen again against the new snapshot. The covariance is
+factored only at a new snapshot and at those exact tests, so the snapshots,
+actions and values are bit-identical to choosing, testing and updating one
+context at a time. A phase's first block is as long as the previous phase
+was; each further block is twice the last, and none holds more than
+``_BLOCK_FLOATS`` floats of d x d update terms.
 
 Snapshot k is exactly lambda_reg * I + alpha * sum_{m < start_k} phi_m phi_m^T,
 so the whole policy is fixed by the M chosen features, the phase starts,
@@ -48,7 +55,7 @@ import numpy as np
 
 from .artifact import read_artifact, scalar, write_artifact
 from .core import ConfigurationError, Context, ContractViolation, ExperimentConfig
-from .covariance import CovarianceSnapshot, RegularizedCovariance
+from .covariance import CovarianceSnapshot, RegularizedCovariance, _block_rows
 
 ARTIFACT_FORMAT = "mixture-policy"
 ARTIFACT_VERSION = 2
@@ -97,11 +104,49 @@ def _replay_snapshots(features: np.ndarray, phase_starts: Sequence[int], lambda_
     snapshots = []
     step = 1
     for start in phase_starts:
-        for phi in features[step - 1:start - 1]:
-            cov.rank_one_update(phi)
+        cov.rank_one_updates(features[step - 1:start - 1])
         step = start
         snapshots.append(cov.snapshot())
     return snapshots
+
+
+def _greedy_block(snapshot: CovarianceSnapshot,
+                  contexts: Sequence[Context]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each context's uncertainty argmax under ``snapshot``, as
+    ``MixturePolicy.snapshot_action`` picks it: the actions, their norms and
+    their feature rows, in context order.
+
+    One solve covers all contexts with the same number of actions; each
+    column of a solve rounds the same whatever else it holds, as long as it
+    holds two or more columns. A single-action context keeps a solve of its
+    own, because a one-column solve rounds differently, and so does a
+    context alone in its group, which has nothing to share a solve with.
+    """
+    n = len(contexts)
+    actions = np.empty(n, dtype=np.int64)
+    values = np.empty(n)
+    rows = np.empty((n, snapshot.d))
+    by_actions: dict[int, list[int]] = {}
+    for i, context in enumerate(contexts):
+        by_actions.setdefault(context.n_actions, []).append(i)
+    for n_actions, block in by_actions.items():
+        if n_actions == 1 or len(block) == 1:
+            for i in block:
+                features = contexts[i].features
+                norms = snapshot.mahalanobis_rows(features)
+                actions[i] = a = int(np.argmax(norms))
+                values[i] = norms[a]
+                rows[i] = features[a]
+            continue
+        g = len(block)
+        feats = np.concatenate([contexts[i].features for i in block])
+        norms = snapshot.mahalanobis_rows(feats).reshape(g, n_actions)
+        chosen = np.argmax(norms, axis=1)
+        picked = np.arange(g)
+        actions[block] = chosen
+        values[block] = norms[picked, chosen]
+        rows[block] = feats[picked * n_actions + chosen]
+    return actions, values, rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,14 +236,19 @@ class MixturePolicy:
         if starts.ndim != 1 or starts.dtype.kind not in "iu":
             raise ConfigurationError("phase_starts must be a 1-d integer array")
         starts = _check_phase_starts(starts, M)
-        raw = payload["features"]
-        if raw.ndim != 2 or raw.dtype.kind != "f":
-            raise ConfigurationError(f"features must be a 2-d float array, got {raw.shape}")
-        if raw.shape[0] != M:
-            raise ConfigurationError(f"features have {raw.shape[0]} rows, expected M={M}")
-        features = _check_features(raw)
+        features = payload["features"]
+        if features.ndim != 2 or features.dtype.kind != "f":
+            raise ConfigurationError(f"features must be a 2-d float array, got {features.shape}")
+        if features.shape[0] != M:
+            raise ConfigurationError(f"features have {features.shape[0]} rows, expected M={M}")
+        # Replaying first lets the updates' own check reject non-finite rows;
+        # the constructor then copies and checks the features, once.
+        try:
+            snapshots = _replay_snapshots(features, starts, lambda_reg, alpha)
+        except ContractViolation:
+            raise ConfigurationError("features must be finite") from None
         return cls(
-            snapshots=_replay_snapshots(features, starts, lambda_reg, alpha),
+            snapshots=snapshots,
             phase_starts=starts,
             lambda_reg=lambda_reg,
             alpha=alpha,
@@ -223,7 +273,8 @@ def plan(contexts: Iterable[Context], config: ExperimentConfig, *,
 
     Returns the mixture policy and the uncertainty trace. Raises
     ConfigurationError if the stream cannot supply M contexts and
-    ContractViolation if feature dimensions are inconsistent.
+    ContractViolation if feature dimensions are inconsistent. The stream is
+    never read past its M-th context.
     """
     if hasattr(contexts, "__len__") and len(contexts) != config.M:
         raise ConfigurationError(
@@ -238,6 +289,7 @@ def plan(contexts: Iterable[Context], config: ExperimentConfig, *,
     d = context.d
     M = config.M
     cov = RegularizedCovariance(d, config.lambda_reg, config.alpha, norm_cap=norm_cap)
+    most = _block_rows(d)
 
     snapshots: list[CovarianceSnapshot] = []
     phase_starts: list[int] = []
@@ -245,29 +297,45 @@ def plan(contexts: Iterable[Context], config: ExperimentConfig, *,
     actions = np.empty(M, dtype=np.int64)
     chosen = np.empty((M, d))
 
+    window = [context]  # contexts read so far, from step window_start on
+    window_start = 1
     snap = None
-    for m in range(1, M + 1):
-        if m > 1:
-            try:
-                context = next(stream)
-            except StopIteration:
-                raise ConfigurationError(
-                    f"offline context stream ended after {m - 1} of {M} contexts"
-                ) from None
-        if context.d != d:
-            raise ContractViolation("context dimension changed mid-stream")
-
+    block = 1
+    m = 1  # the next step to apply
+    decided = 0  # steps up to here hold their choice under snap
+    while m <= M:
         if cov.doubled_since(snap):
+            block = m - phase_starts[-1] if phase_starts else 1
             snap = cov.snapshot()
             snapshots.append(snap)
             phase_starts.append(m)
-
-        norms = snap.mahalanobis_rows(context.features)
-        a = int(np.argmax(norms))
-        values[m - 1] = norms[a]
-        actions[m - 1] = a
-        chosen[m - 1] = context.features[a]
-        cov.rank_one_update(context.features[a], norms[a])
+            decided = m - 1
+        if decided < m:
+            # Choose steps m..stop against snap, reading what the stream
+            # has of them; a short stream fails when its end is reached.
+            del window[:m - window_start]
+            window_start = m
+            stop = min(M, m + min(block, most) - 1)
+            while window_start + len(window) <= stop:
+                try:
+                    context = next(stream)
+                except StopIteration:
+                    break
+                if context.d != d:
+                    raise ContractViolation("context dimension changed mid-stream")
+                window.append(context)
+            if not window:
+                raise ConfigurationError(
+                    f"offline context stream ended after {m - 1} of {M} contexts"
+                )
+            batch = window[:stop - m + 1]
+            decided = m + len(batch) - 1
+            actions[m - 1:decided], values[m - 1:decided], chosen[m - 1:decided] = (
+                _greedy_block(snap, batch))
+            block *= 2
+        # Add the chosen rows until the growth screen stops them; the next
+        # pass then runs the exact doubling test.
+        m += cov.rank_one_updates(chosen[m - 1:decided], values[m - 1:decided])
 
     policy = MixturePolicy(
         snapshots=snapshots,

@@ -25,7 +25,7 @@ from mixplan import (
     verify_lemmas,
 )
 
-from mixplan.concentration import _snapshot_choices
+from mixplan.planner import _greedy_block
 
 from conftest import make_context, unit_ball_contexts
 
@@ -268,8 +268,8 @@ def test_sandwich_check_stochastic_contexts():
 @pytest.mark.parametrize("kind", ["nonconcentrating", "mixed_random"])
 def test_batched_snapshot_replay_matches_per_context_actions(kind):
     # Contexts with one and with two or more actions, interleaved: the
-    # batched replay picks each context's row as snapshot_action does, in
-    # context order.
+    # batched choice picks each context's action, norm and row as
+    # snapshot_action and a solve of that context alone do, in context order.
     rng = np.random.default_rng(31)
     if kind == "nonconcentrating":
         instance = make_hard_nonconcentrating(d=4, M=8)
@@ -281,8 +281,13 @@ def test_batched_snapshot_replay_matches_per_context_actions(kind):
     policy, _ = plan(contexts[:200], ExperimentConfig(M=200, N=200, lambda_reg=0.5, alpha=1.0))
     assert policy.snapshot_count > 1
     for k, snap in enumerate(policy.snapshots):
-        expected = np.array([c.features[policy.snapshot_action(k, c)] for c in contexts])
-        assert np.array_equal(_snapshot_choices(snap, contexts), expected)
+        expected = [policy.snapshot_action(k, c) for c in contexts]
+        actions, values, rows = _greedy_block(snap, contexts)
+        assert actions.tolist() == expected
+        assert rows.tobytes() == np.array(
+            [c.features[a] for c, a in zip(contexts, expected)]).tobytes()
+        assert values.tobytes() == np.array(
+            [snap.mahalanobis_rows(c.features)[a] for c, a in zip(contexts, expected)]).tobytes()
 
 
 def test_verify_lemmas_smoke():

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from mixplan import ConfigurationError, ContractViolation, RegularizedCovariance
+from mixplan import covariance as covariance_module
 from mixplan.covariance import GROWTH_SLACK, _mahalanobis_rows
 
 
@@ -311,3 +313,77 @@ def test_knife_edge_basis_update_runs_the_exact_test(cholesky_calls):
     assert cov._growth_bound == math.log(2.0)
     assert cov.doubled_since(snap)
     assert cholesky_calls == [2]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(1, 30),
+    n=st.integers(1, 40),
+    lam=st.sampled_from([0.05, 0.5, 1.0, 5.0, 100.0]),
+    alpha=st.floats(0.01, 1.0),
+    with_norms=st.booleans(),
+    chunk=st.sampled_from([None, 1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_updates_equal_sequential_rank_one_updates(d, n, lam, alpha, with_norms, chunk,
+                                                           seed):
+    # One rank_one_updates call adds what one rank_one_update per row adds,
+    # in matrix bytes, growth bound and the factor after it. With snapshot
+    # norms it stops after the first row that leaves the bound at or above
+    # the screen, as a caller testing doubled_since before each step would.
+    rng = np.random.default_rng(seed)
+    rows = _random_unit_vectors(rng, n, d)
+    batched = RegularizedCovariance(d, lam, alpha)
+    sequential = RegularizedCovariance(d, lam, alpha)
+    warm = _random_unit_vectors(rng, 3, d)
+    for cov in (batched, sequential):
+        cov.rank_one_update(warm[0])
+        cov.snapshot()
+        cov.rank_one_update(warm[1], 0.25)
+    snap = sequential.snapshot()
+    batched_snap = batched.snapshot()
+    norms = snap.mahalanobis_rows(rows) if with_norms else None
+    capped = covariance_module._block_rows if chunk is None else (lambda d: chunk)
+    with mock.patch.object(covariance_module, "_block_rows", capped):
+        count = batched.rank_one_updates(rows, norms)
+
+    oracle = sequential.matrix.copy()
+    expected = 0
+    for k, phi in enumerate(rows):
+        sequential.rank_one_update(phi, None if norms is None else norms[k])
+        outer = phi[:, None] * phi
+        outer *= alpha
+        oracle += outer
+        expected += 1
+        if norms is not None and not sequential._growth_bound < math.log(2.0) - GROWTH_SLACK:
+            break
+    assert count == expected
+    assert batched.matrix.tobytes() == sequential.matrix.tobytes() == oracle.tobytes()
+    assert batched._growth_bound == sequential._growth_bound
+    assert batched.factor().tobytes() == sequential.factor().tobytes()
+    assert batched.doubled_since(batched_snap) == sequential.doubled_since(snap)
+
+
+def test_batched_updates_gate_every_row_they_add():
+    cov = RegularizedCovariance(3, 1.0, 1.0)
+    before = cov.matrix.copy()
+    rows = np.array([[0.6, 0.8, 0.0], [1.1, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ContractViolation):
+        cov.rank_one_updates(rows)
+    with pytest.raises(ContractViolation):
+        cov.rank_one_updates(np.array([[0.0, 0.5, 0.0], [np.inf, 0.0, 0.0]]))
+    with pytest.raises(ContractViolation):
+        cov.rank_one_updates(np.zeros((2, 2)))
+    assert cov.matrix.tobytes() == before.tobytes()
+    # A row a hair inside the cap's tolerance passes, one a hair outside fails.
+    inside = np.array([[1.0 + 0.5e-9, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert cov.rank_one_updates(inside) == 2
+    with pytest.raises(ContractViolation):
+        cov.rank_one_updates(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0 + 2e-9]]))
+    # The screen stops the block, so a bad row after the stop is not looked at.
+    cov.snapshot()
+    e1 = np.array([1.0, 0.0, 0.0])
+    stopped = np.array([e1, [5.0, 0.0, 0.0]])
+    assert cov.rank_one_updates(stopped, [10.0, 10.0]) == 1
+    assert not cov._growth_bound < math.log(2.0) - GROWTH_SLACK
+    assert cov.rank_one_updates(np.zeros((0, 3)), []) == 0

@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +25,9 @@ from mixplan import (
     sample,
     switch_count_budget,
 )
+
+from mixplan import covariance as covariance_module
+from mixplan import planner as planner_module
 
 from conftest import make_context, unit_ball_contexts
 
@@ -161,6 +168,10 @@ def test_screened_plan_matches_exact_test_at_every_step(kind, d, n_actions, seed
     # exactly on a fresh direction: the knife edge the screen must not cut.
     contexts = _screen_fixture(kind, d, n_actions, seed, M)
     policy, trace = plan(contexts, _config(M, lam=lam, alpha=alpha))
+    _assert_matches_reference(policy, trace, contexts, lam, alpha)
+
+
+def _assert_matches_reference(policy, trace, contexts, lam, alpha):
     snapshots, starts, actions, values = _reference_plan(contexts, lam, alpha)
     assert list(policy.phase_starts) == starts
     assert np.array_equal(trace.actions, actions)
@@ -169,6 +180,106 @@ def test_screened_plan_matches_exact_test_at_every_step(kind, d, n_actions, seed
     for ours, theirs in zip(policy.snapshots, snapshots):
         assert ours.factor.tobytes() == theirs.factor.tobytes()
         assert ours.log_det == theirs.log_det
+
+
+def _mixed_action_contexts(rng, M, d):
+    """Unit-ball contexts with 1 to 6 actions each, interleaved."""
+    counts = rng.integers(1, 7, size=M)
+    pool = unit_ball_contexts(rng, M, d, 6)
+    return [make_context(c.features[:k], f"c{i}") for i, (c, k) in enumerate(zip(pool, counts))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["mixed", "long", "generator"]),
+    d=st.integers(1, 8),
+    seed=st.integers(0, 10_000),
+    M=st.integers(1, 600),
+    block=st.sampled_from([None, 1, 2, 3, 7]),
+    data=st.data(),
+)
+def test_blocked_plan_matches_exact_test_at_every_step(kind, d, seed, M, block, data):
+    # Blocks of steps chosen with one solve per action count and applied
+    # until the growth screen stops them take the reference's snapshots,
+    # actions and values bit for bit: on streams that mix action counts,
+    # on phases hundreds of steps long, and on a generator. ``block``
+    # caps the block length and the rows one stacked update holds.
+    rng = np.random.default_rng(seed)
+    if kind == "long":
+        lam = data.draw(st.sampled_from([20.0, 100.0]), label="lam")
+        alpha = data.draw(st.sampled_from([0.01, 0.05]), label="alpha")
+        contexts = unit_ball_contexts(rng, M, d, 1 + seed % 5)
+    else:
+        lam = data.draw(st.sampled_from([0.25, 1.0, 5.0]), label="lam")
+        alpha = data.draw(st.sampled_from([0.25, 1.0]), label="alpha")
+        contexts = _mixed_action_contexts(rng, M, d)
+    stream = iter(contexts) if kind == "generator" else contexts
+    with mock.patch.object(planner_module, "_block_rows", _capped_block_rows(block)), \
+            mock.patch.object(covariance_module, "_block_rows", _capped_block_rows(block)):
+        policy, trace = plan(stream, _config(M, lam=lam, alpha=alpha))
+    _assert_matches_reference(policy, trace, contexts, lam, alpha)
+
+
+def _capped_block_rows(cap):
+    original = covariance_module._block_rows
+    return original if cap is None else (lambda d: min(cap, original(d)))
+
+
+def test_blocked_plan_matches_exact_test_at_two_blas_threads():
+    # Wide solves split their columns across BLAS threads, and the thread
+    # count is fixed when numpy loads: rerun the property in a fresh
+    # interpreter at two threads.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
+    here = Path(__file__).resolve().parent
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(here.parent / "src"), str(here)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    name = "test_blocked_plan_matches_exact_test_at_every_step"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).resolve()}::{name}"],
+        cwd=here.parent, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout[-3000:] + result.stderr[-3000:]
+    assert "1 passed" in result.stdout
+
+
+def _counted_stream(contexts):
+    """A generator over ``contexts`` that fails if it is asked for more."""
+    reads = []
+
+    def stream():
+        for context in contexts:
+            reads.append(context)
+            yield context
+        raise AssertionError("the planner read past its last context")
+
+    return stream(), reads
+
+
+@pytest.mark.parametrize("lam, alpha", [(1.0, 1.0), (100.0, 0.01)])
+def test_plan_reads_a_generator_of_exactly_M_contexts_and_no_further(lam, alpha):
+    rng = np.random.default_rng(33)
+    contexts = unit_ball_contexts(rng, 500, 3, 4)
+    stream, reads = _counted_stream(contexts)
+    policy, trace = plan(stream, _config(500, lam=lam, alpha=alpha))
+    assert len(reads) == 500
+    _assert_matches_reference(policy, trace, contexts, lam, alpha)
+
+
+def test_plan_rejects_short_generators_and_dimension_changes_deep_in_a_phase():
+    rng = np.random.default_rng(34)
+    contexts = unit_ball_contexts(rng, 300, 3, 4)
+    config = _config(500, lam=100.0, alpha=0.01)
+    with pytest.raises(ConfigurationError, match="ended after 300 of 500"):
+        plan(iter(contexts), config)
+    wider = unit_ball_contexts(rng, 1, 4, 4)
+    with pytest.raises(ContractViolation):
+        plan(iter(contexts[:250] + wider + contexts[:249]), config)
+    # Errors surface in step order: a long row at step 200 of a stream that
+    # ends early fails the norm gate before the stream's end is reached.
+    long_row = make_context([[2.0, 0.0, 0.0]])
+    with pytest.raises(ContractViolation):
+        plan(iter(contexts[:199] + [long_row] + contexts[:100]), config)
 
 
 @pytest.mark.parametrize("lam, alpha", [(1.0, 1.0), (0.5, 0.5), (0.25, 0.25)])
