@@ -33,11 +33,12 @@ objects (immutable) for concurrent readers.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .core import ConfigurationError, ContractViolation
+from .core import ConfigurationError, Context, ContractViolation
 
 #: Absolute slack on the feature-norm gate.
 NORM_TOLERANCE = 1e-9
@@ -53,8 +54,8 @@ _LOG2 = math.log(2.0)
 _SCREEN = _LOG2 - GROWTH_SLACK
 
 #: Floats one stacked block of work may hold (2**16 float64, 512 KiB): the
-#: d x d terms of a block of updates here, and the stacked feature rows of
-#: an evaluation block in ``mixplan.estimator``.
+#: d x d terms of a block of updates, and the stacked feature rows of a
+#: block of contexts (``_context_blocks``) that one solve scores.
 _BLOCK_FLOATS = 1 << 16
 
 
@@ -70,19 +71,12 @@ def _add_outer_products(matrix: np.ndarray, rows: np.ndarray, scale: float) -> N
 
     scale * phi_i * phi_j is bit-for-bit symmetric, so a symmetric matrix
     stays exactly symmetric. Scaling a finite product by 1.0 changes no bit,
-    so that pass is skipped. A single row, the planner's step at large d,
-    takes exactly that arithmetic. The products of a block of rows are
-    formed in one stacked multiply and then added one at a time, in row
-    order. All blocks of a call share one buffer: at d = 300, a fresh product
-    array per block of a short phase made the policy replay fault in new
-    pages and run about 20 % slower.
+    so that pass is skipped. The products of a block of rows are formed in
+    one stacked multiply and then added one at a time, in row order. All
+    blocks of a call share one buffer: at d = 300, a fresh product array per
+    block of a short phase made the policy replay fault in new pages and run
+    about 20 % slower.
     """
-    if len(rows) == 1:
-        outer = rows[0][:, None] * rows[0]
-        if scale != 1.0:
-            outer *= scale
-        matrix += outer
-        return
     d = matrix.shape[0]
     step = _block_rows(d)
     work = np.empty((min(len(rows), step), d, d))
@@ -93,6 +87,22 @@ def _add_outer_products(matrix: np.ndarray, rows: np.ndarray, scale: float) -> N
             terms *= scale
         for term in terms:
             matrix += term
+
+
+def _context_blocks(contexts: Sequence[Context], d: int):
+    """Yield (indices, features): contexts with the same action count A,
+    their feature rows stacked into a (g, A, d) array of about
+    ``_BLOCK_FLOATS`` floats."""
+    by_actions: dict[int, list[int]] = {}
+    for i, context in enumerate(contexts):
+        if context.d != d:
+            raise ContractViolation(f"context dimension {context.d} != {d}")
+        by_actions.setdefault(context.n_actions, []).append(i)
+    for n_actions, indices in by_actions.items():
+        step = max(1, _BLOCK_FLOATS // (n_actions * d))
+        for start in range(0, len(indices), step):
+            block = indices[start:start + step]
+            yield block, np.stack([contexts[i].features for i in block])
 
 
 def _mahalanobis_rows(chol_lower: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -142,8 +152,12 @@ class CovarianceSnapshot:
     __slots__ = ("_chol", "log_det")
 
     def __init__(self, chol: np.ndarray, log_det: float):
-        chol = np.array(chol, dtype=np.float64)
-        chol.setflags(write=False)
+        # A read-only factor, such as the writer's own, is kept as is: at
+        # d = 300 a copy per snapshot cost a few per cent of a plan.
+        chol = np.asarray(chol, dtype=np.float64)
+        if chol.flags.writeable:
+            chol = chol.copy()
+            chol.setflags(write=False)
         self._chol = chol
         self.log_det = float(log_det)
 
@@ -190,6 +204,7 @@ class RegularizedCovariance:
         self.norm_cap = norm_cap
         self.matrix = np.eye(self.d) * self.lambda_reg
         self._chol = np.eye(self.d) * math.sqrt(self.lambda_reg)
+        self._chol.setflags(write=False)
         self._dirty = False
         self._last_snapshot: CovarianceSnapshot | None = None
         # Upper bound on the log-determinant growth since _last_snapshot;
@@ -208,9 +223,13 @@ class RegularizedCovariance:
         return cov
 
     def factor(self) -> np.ndarray:
-        """Current lower Cholesky factor, refreshed lazily after updates."""
+        """Current lower Cholesky factor, refreshed lazily after updates.
+
+        It is read-only and never written in place, so snapshots share it.
+        """
         if self._dirty:
             self._chol = np.linalg.cholesky(self.matrix)
+            self._chol.setflags(write=False)
             self._dirty = False
         return self._chol
 
@@ -240,8 +259,12 @@ class RegularizedCovariance:
         took, if the caller has it; it lets ``doubled_since`` skip the exact
         test (see the module docstring).
         """
-        self.rank_one_updates(_check_vector(feature, self.d),
-                              None if snapshot_norm is None else [snapshot_norm])
+        phi = _check_vector(feature, self.d)
+        bound = math.inf
+        if snapshot_norm is not None:
+            u = float(snapshot_norm)
+            bound = self._growth_bound + math.log1p(self.alpha * u * u)
+        self._add_rows(phi, bound)
         return self
 
     def rank_one_updates(self, rows: np.ndarray, snapshot_norms: np.ndarray | None = None) -> int:
@@ -254,13 +277,18 @@ class RegularizedCovariance:
         snapshot this object took), rows are added up to and including the
         first one after which the growth bound no longer clears the screen
         of ``doubled_since``; the caller runs that test before the next step.
+        Only the rows added are checked, so a caller may hand over the rest
+        of a block at every step.
         """
-        rows = _check_rows(rows, self.d)
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != self.d:
+            raise ContractViolation(f"expected rows of shape (n, {self.d}), got {rows.shape}")
         if snapshot_norms is None:
             count, bound = len(rows), math.inf
         else:
             count, bound = 0, self._growth_bound
-            for u in np.asarray(snapshot_norms, dtype=np.float64).tolist():
+            for u in snapshot_norms:
+                u = float(u)
                 bound += math.log1p(self.alpha * u * u)
                 count += 1
                 if not bound < _SCREEN:
@@ -268,11 +296,17 @@ class RegularizedCovariance:
         if count == 0:
             return 0
         rows = rows[:count]
+        if not np.isfinite(rows).all():
+            raise ContractViolation("non-finite entries in feature rows")
+        self._add_rows(rows, bound)
+        return count
+
+    def _add_rows(self, rows: np.ndarray, bound: float) -> None:
+        """Gate and add checked rows; ``bound`` is the growth bound after them."""
         self._gate(rows)
         _add_outer_products(self.matrix, rows, self.alpha)
         self._dirty = True
         self._growth_bound = bound
-        return count
 
     def log_det(self) -> float:
         chol = self.factor()

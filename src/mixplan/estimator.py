@@ -6,7 +6,8 @@ suboptimality of the extracted greedy policy over a held-out context set. Every 
 through a factorization solve.
 
 Evaluation runs in blocks: contexts with the same number of actions are
-stacked into (g, A, d) arrays of about ``_BLOCK_FLOATS`` floats, and each
+stacked into (g, A, d) arrays of about ``covariance._BLOCK_FLOATS`` floats
+(``covariance._context_blocks``, which the planner shares), and each
 block takes one stacked score product and one triangular solve (contexts
 with a single action keep one solve each). Every output is bit-identical to
 scoring and solving one context at a time.
@@ -30,7 +31,7 @@ from .core import (
     DataError,
     InteractionDataset,
 )
-from .covariance import _BLOCK_FLOATS, RegularizedCovariance
+from .covariance import RegularizedCovariance, _context_blocks
 
 
 @dataclass(frozen=True)
@@ -138,22 +139,6 @@ def evaluate_values(estimate: RidgeEstimate, eval_contexts: Sequence[Context],
     recorded relevance labels for a data-driven instance)."""
     return _evaluate_blocks(estimate, eval_contexts,
                             lambda block, feats: np.stack([true_values[i] for i in block]))
-
-
-def _context_blocks(contexts: Sequence[Context], d: int):
-    """Yield (indices, features): contexts with the same action count A,
-    their feature rows stacked into a (g, A, d) array of about
-    ``_BLOCK_FLOATS`` floats."""
-    by_actions: dict[int, list[int]] = {}
-    for i, context in enumerate(contexts):
-        if context.d != d:
-            raise ContractViolation("evaluation context dimension mismatch")
-        by_actions.setdefault(context.n_actions, []).append(i)
-    for n_actions, indices in by_actions.items():
-        step = max(1, _BLOCK_FLOATS // (n_actions * d))
-        for start in range(0, len(indices), step):
-            block = indices[start:start + step]
-            yield block, np.stack([contexts[i].features for i in block])
 
 
 def _evaluate_blocks(estimate: RidgeEstimate, eval_contexts: Sequence[Context],

@@ -55,7 +55,7 @@ import numpy as np
 
 from .artifact import read_artifact, scalar, write_artifact
 from .core import ConfigurationError, Context, ContractViolation, ExperimentConfig
-from .covariance import CovarianceSnapshot, RegularizedCovariance, _block_rows
+from .covariance import CovarianceSnapshot, RegularizedCovariance, _block_rows, _context_blocks
 
 ARTIFACT_FORMAT = "mixture-policy"
 ARTIFACT_VERSION = 2
@@ -116,36 +116,33 @@ def _greedy_block(snapshot: CovarianceSnapshot,
     ``MixturePolicy.snapshot_action`` picks it: the actions, their norms and
     their feature rows, in context order.
 
-    One solve covers all contexts with the same number of actions; each
-    column of a solve rounds the same whatever else it holds, as long as it
-    holds two or more columns. A single-action context keeps a solve of its
-    own, because a one-column solve rounds differently, and so does a
-    context alone in its group, which has nothing to share a solve with.
+    One solve covers each block of contexts with the same number of actions
+    (``_context_blocks``); each column of a solve rounds the same whatever
+    else it holds, as long as it holds two or more columns. A single-action
+    context keeps a solve of its own, because a one-column solve rounds
+    differently. A block of one context, every block at d = 300, is solved
+    directly: the grouping's bookkeeping made ``plan`` there 3-6 % slower.
     """
+    if len(contexts) == 1:
+        features = contexts[0].features
+        norms = snapshot.mahalanobis_rows(features)
+        a = int(np.argmax(norms))
+        return np.array([a]), norms[a:a + 1], features[a:a + 1]
     n = len(contexts)
     actions = np.empty(n, dtype=np.int64)
     values = np.empty(n)
     rows = np.empty((n, snapshot.d))
-    by_actions: dict[int, list[int]] = {}
-    for i, context in enumerate(contexts):
-        by_actions.setdefault(context.n_actions, []).append(i)
-    for n_actions, block in by_actions.items():
-        if n_actions == 1 or len(block) == 1:
-            for i in block:
-                features = contexts[i].features
-                norms = snapshot.mahalanobis_rows(features)
-                actions[i] = a = int(np.argmax(norms))
-                values[i] = norms[a]
-                rows[i] = features[a]
-            continue
-        g = len(block)
-        feats = np.concatenate([contexts[i].features for i in block])
-        norms = snapshot.mahalanobis_rows(feats).reshape(g, n_actions)
+    for block, feats in _context_blocks(contexts, snapshot.d):
+        g, n_actions, d = feats.shape
+        if n_actions == 1:
+            norms = np.array([snapshot.mahalanobis_rows(f) for f in feats])
+        else:
+            norms = snapshot.mahalanobis_rows(feats.reshape(g * n_actions, d)).reshape(g, n_actions)
         chosen = np.argmax(norms, axis=1)
         picked = np.arange(g)
         actions[block] = chosen
         values[block] = norms[picked, chosen]
-        rows[block] = feats[picked * n_actions + chosen]
+        rows[block] = feats[picked, chosen]
     return actions, values, rows
 
 

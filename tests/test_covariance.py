@@ -374,7 +374,12 @@ def test_batched_updates_gate_every_row_they_add():
         cov.rank_one_updates(np.array([[0.0, 0.5, 0.0], [np.inf, 0.0, 0.0]]))
     with pytest.raises(ContractViolation):
         cov.rank_one_updates(np.zeros((2, 2)))
-    assert cov.matrix.tobytes() == before.tobytes()
+    # A NaN row clears the norm gate; the finiteness check rejects it, with
+    # or without a cap.
+    for gated in (cov, RegularizedCovariance(3, 1.0, 1.0, norm_cap=None)):
+        with pytest.raises(ContractViolation):
+            gated.rank_one_updates(np.array([[0.0, 0.5, 0.0], [np.nan, 0.0, 0.0]]))
+        assert gated.matrix.tobytes() == before.tobytes()
     # A row a hair inside the cap's tolerance passes, one a hair outside fails.
     inside = np.array([[1.0 + 0.5e-9, 0.0, 0.0], [0.0, 1.0, 0.0]])
     assert cov.rank_one_updates(inside) == 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mixplan.estimator as estimator_module
+import mixplan.covariance as covariance_module
 
 from mixplan import (
     BanditInstance,
@@ -247,7 +247,7 @@ def _reference_report(estimate, contexts, true_values):
     d=st.integers(1, 30),
     action_counts=st.lists(st.integers(1, 12), min_size=1, max_size=40),
     tied=st.booleans(),
-    block_floats=st.sampled_from([1, 7, 64, 500, estimator_module._BLOCK_FLOATS]),
+    block_floats=st.sampled_from([1, 7, 64, 500, covariance_module._BLOCK_FLOATS]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batched_evaluation_matches_per_context_loop(d, action_counts, tied, block_floats, seed):
@@ -261,7 +261,7 @@ def test_batched_evaluation_matches_per_context_loop(d, action_counts, tied, blo
     theta_star = rng.normal(size=d)
     instance = _instance_with_contexts(theta_star, contexts)
     labels = [rng.integers(0, 3, size=c.n_actions).astype(np.float64) for c in contexts]
-    with mock.patch.object(estimator_module, "_BLOCK_FLOATS", block_floats):
+    with mock.patch.object(covariance_module, "_BLOCK_FLOATS", block_floats):
         report = evaluate(estimate, instance, contexts)
         labelled = evaluate_values(estimate, contexts, labels)
     expected = _reference_report(estimate, contexts, [c.features @ theta_star for c in contexts])

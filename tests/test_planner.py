@@ -196,14 +196,17 @@ def _mixed_action_contexts(rng, M, d):
     seed=st.integers(0, 10_000),
     M=st.integers(1, 600),
     block=st.sampled_from([None, 1, 2, 3, 7]),
+    block_floats=st.sampled_from([None, 7, 64]),
     data=st.data(),
 )
-def test_blocked_plan_matches_exact_test_at_every_step(kind, d, seed, M, block, data):
+def test_blocked_plan_matches_exact_test_at_every_step(kind, d, seed, M, block, block_floats,
+                                                       data):
     # Blocks of steps chosen with one solve per action count and applied
     # until the growth screen stops them take the reference's snapshots,
     # actions and values bit for bit: on streams that mix action counts,
     # on phases hundreds of steps long, and on a generator. ``block``
-    # caps the block length and the rows one stacked update holds.
+    # caps the block length and the rows one stacked update holds;
+    # ``block_floats`` also splits a block's contexts over several solves.
     rng = np.random.default_rng(seed)
     if kind == "long":
         lam = data.draw(st.sampled_from([20.0, 100.0]), label="lam")
@@ -214,8 +217,10 @@ def test_blocked_plan_matches_exact_test_at_every_step(kind, d, seed, M, block, 
         alpha = data.draw(st.sampled_from([0.25, 1.0]), label="alpha")
         contexts = _mixed_action_contexts(rng, M, d)
     stream = iter(contexts) if kind == "generator" else contexts
+    floats = covariance_module._BLOCK_FLOATS if block_floats is None else block_floats
     with mock.patch.object(planner_module, "_block_rows", _capped_block_rows(block)), \
-            mock.patch.object(covariance_module, "_block_rows", _capped_block_rows(block)):
+            mock.patch.object(covariance_module, "_block_rows", _capped_block_rows(block)), \
+            mock.patch.object(covariance_module, "_BLOCK_FLOATS", floats):
         policy, trace = plan(stream, _config(M, lam=lam, alpha=alpha))
     _assert_matches_reference(policy, trace, contexts, lam, alpha)
 
