@@ -340,8 +340,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, ContractViolation, DataError, ParseError,
-            FileNotFoundError) as exc:
+    except (ConfigurationError, ContractViolation, DataError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

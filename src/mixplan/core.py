@@ -12,7 +12,7 @@ never stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -143,13 +143,11 @@ class InteractionRecord:
 class InteractionDataset:
     """Ordered bandit feedback, one record per online step."""
 
-    def __init__(self, d: int, records: Sequence[InteractionRecord] = ()):
+    def __init__(self, d: int):
         if d < 1:
             raise ConfigurationError("dimension must be at least 1")
         self.d = int(d)
         self.records: list[InteractionRecord] = []
-        for record in records:
-            self.append(record)
 
     def append(self, record: InteractionRecord) -> None:
         if record.feature.shape != (self.d,):

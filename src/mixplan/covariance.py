@@ -26,6 +26,10 @@ so the caller runs the exact ``doubled_since`` test before the next step:
 a planner can choose a whole block of steps against one snapshot and still
 take the snapshots that an exact test at every step would take.
 
+Triangular solves call LAPACK ``dtrtrs`` from ``mixplan._lapack``, SciPy's
+compiled LAPACK loaded without importing ``scipy.linalg``; factorizations
+use ``np.linalg.cholesky``.
+
 ``RegularizedCovariance`` is single-writer; hand out ``CovarianceSnapshot``
 objects (immutable) for concurrent readers.
 """
@@ -36,8 +40,8 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
+from ._lapack import dtrtrs
 from .core import ConfigurationError, Context, ContractViolation
 
 #: Absolute slack on the feature-norm gate.

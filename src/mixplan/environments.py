@@ -107,11 +107,6 @@ def make_synthetic(seed: int) -> BanditInstance:
     )
 
 
-def synthetic_category(context: Context) -> int:
-    """Recover the category encoded in a synthetic context id."""
-    return int(context.context_id[1 : context.context_id.index("-")])
-
-
 def make_hard_uniform(A: int) -> BanditInstance:
     """Single-context instance where uniform exploration wastes A-1 arms.
 

@@ -5,6 +5,13 @@ Monte-Carlo estimates the expected maximum uncertainty, policy value, and
 suboptimality of the extracted greedy policy over a held-out context set. Every application of the inverse covariance goes
 through a factorization solve.
 
+The ridge solve calls LAPACK ``dpotrf`` and ``dpotrs`` directly, the two
+calls ``scipy.linalg.cho_solve(cho_factor(m, lower=True), rhs)`` makes, from
+``mixplan._lapack`` (SciPy's compiled LAPACK, loaded without importing
+``scipy.linalg``). The checks those wrappers made are kept as typed errors:
+a Gram matrix or right-hand side that overflows, or a Gram matrix that
+cannot be factored, raises ``DataError``.
+
 Evaluation runs in blocks: contexts with the same number of actions are
 stacked into (g, A, d) arrays of about ``covariance._BLOCK_FLOATS`` floats
 (``covariance._context_blocks``, which the planner shares), and each
@@ -21,8 +28,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
+from ._lapack import dpotrf, dpotrs
 from .core import (
     BanditInstance,
     ConfigurationError,
@@ -100,10 +107,24 @@ def ridge_fit_arrays(features: np.ndarray, rewards: np.ndarray,
         raise DataError("non-finite rewards in dataset")
     if not np.isfinite(features).all():
         raise DataError("non-finite features in dataset")
-    cov = RegularizedCovariance.from_state(lambda_reg * np.eye(d) + features.T @ features,
-                                           lambda_reg)
-    rhs = features.T @ rewards
-    theta = cho_solve(cho_factor(cov.matrix, lower=True), rhs)
+    # Finite features can still overflow the products; that is reported as
+    # the DataError below, not as a RuntimeWarning from the matmul.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = RegularizedCovariance.from_state(lambda_reg * np.eye(d) + features.T @ features,
+                                               lambda_reg)
+        rhs = features.T @ rewards
+    if not (np.isfinite(cov.matrix).all() and np.isfinite(rhs).all()):
+        raise DataError("features too large: the ridge normal equations overflow")
+    # The two LAPACK calls cho_solve(cho_factor(m, lower=True), rhs) makes.
+    factor, info = dpotrf(cov.matrix, lower=1, clean=0)
+    if info > 0:
+        raise DataError(f"ridge Gram matrix is not positive definite (leading minor {info}); "
+                        "the features are too large against lambda_reg")
+    if info < 0:
+        raise np.linalg.LinAlgError(f"Cholesky factorization failed (LAPACK info {info})")
+    theta, info = dpotrs(factor, rhs, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Cholesky solve failed (LAPACK info {info})")
     return RidgeEstimate(theta_hat=theta, sigma_prime_n=cov, n_samples=n)
 
 

@@ -29,7 +29,6 @@ import json
 import logging
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -401,6 +400,10 @@ def run_experiment(config: RunConfig) -> RunResult:
 
     jobs = [(config.to_dict(), trial) for trial in range(config.n_trials)]
     if config.workers > 1:
+        # Imported here: concurrent.futures.process pulls in multiprocessing,
+        # socket and subprocess, start-up cost that one-worker runs never use.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             per_trial = list(pool.map(_trial_worker, jobs))
     else:

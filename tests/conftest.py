@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixplan import Context
+from mixplan import Context, InteractionDataset
 
 
 @pytest.fixture
@@ -11,6 +11,14 @@ def rng():
 
 def make_context(rows, context_id="ctx"):
     return Context(context_id, np.asarray(rows, dtype=np.float64))
+
+
+def make_dataset(d, records):
+    """An ``InteractionDataset`` of dimension d holding ``records`` in order."""
+    dataset = InteractionDataset(d)
+    for record in records:
+        dataset.append(record)
+    return dataset
 
 
 def unit_ball_contexts(rng, count, d, n_actions):

@@ -30,7 +30,7 @@ from mixplan import (
     sandwich_check,
     switch_bound_check,
 )
-from mixplan.core import InteractionDataset, InteractionRecord
+from mixplan.core import InteractionRecord
 from mixplan.environments import (
     RANK_MAX_ACTIONS,
     RANK_NORM_CAP,
@@ -39,7 +39,7 @@ from mixplan.environments import (
     parse_rank_file,
 )
 
-from conftest import unit_ball_contexts
+from conftest import make_dataset, unit_ball_contexts
 
 DATA = Path(__file__).parent / "data"
 
@@ -65,7 +65,7 @@ def test_criterion_01_ridge_oracle_equivalence():
             InteractionRecord(f"r{i}", 0, features[i], float(rewards[i]))
             for i in range(n)
         ]
-        estimate = ridge_fit(InteractionDataset(d, records), lam)
+        estimate = ridge_fit(make_dataset(d, records), lam)
         oracle = np.linalg.solve(
             features.T @ features + lam * np.eye(d), features.T @ rewards
         )

@@ -12,9 +12,9 @@ from mixplan import (
     ridge_fit,
     sample,
 )
-from mixplan.core import InteractionDataset, InteractionRecord
+from mixplan.core import InteractionRecord
 
-from conftest import make_context, unit_ball_contexts
+from conftest import make_context, make_dataset, unit_ball_contexts
 
 
 def test_random_single_action_context(rng):
@@ -94,7 +94,7 @@ def test_supervised_oracle_equals_ridge_on_exploded_dataset(rng):
                 InteractionRecord(context.context_id, a, context.features[a], reward)
             )
     for estimate, n in zip(oracle, (4, 10)):
-        direct = ridge_fit(InteractionDataset(3, records[: n * 4]), 0.5)
+        direct = ridge_fit(make_dataset(3, records[: n * 4]), 0.5)
         assert np.array_equal(estimate.theta_hat, direct.theta_hat)
 
 

@@ -27,10 +27,14 @@ from mixplan.environments import (
     build_rank_contexts,
     draw_subsample_indices,
     parse_rank_file,
-    synthetic_category,
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+def _category(context):
+    """The category a synthetic context id encodes: ``c<category>-<hex>``."""
+    return int(context.context_id[1 : context.context_id.index("-")])
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +57,7 @@ def test_synthetic_category_one_spike_variance():
     rows = []
     while len(rows) < 10_000:
         context = instance.context_sampler(rng)
-        if synthetic_category(context) == 0:
+        if _category(context) == 0:
             rows.append(context.features[0])
     rows = np.array(rows)
     variances = rows.var(axis=0)
@@ -80,7 +84,7 @@ def test_synthetic_unused_actions_are_exactly_zero():
     }
     for _ in range(200):
         context = instance.context_sampler(rng)
-        category = synthetic_category(context)
+        category = _category(context)
         for action in range(10):
             if action not in layout_informative[category]:
                 assert not context.features[action].any()
@@ -92,7 +96,7 @@ def test_synthetic_category_marginals_uniform():
     counts = np.zeros(3)
     draws = 100_000
     for _ in range(draws):
-        counts[synthetic_category(instance.context_sampler(rng))] += 1
+        counts[_category(instance.context_sampler(rng))] += 1
     expected = draws / 3.0
     statistic = float(((counts - expected) ** 2 / expected).sum())
     assert statistic < chi2.ppf(0.99, df=2)

@@ -25,7 +25,7 @@ from mixplan import (
 )
 from mixplan.estimator import evaluate_values, ridge_fit_arrays
 
-from conftest import make_context, unit_ball_contexts
+from conftest import make_context, make_dataset, unit_ball_contexts
 
 
 def _dataset(features, rewards):
@@ -34,7 +34,7 @@ def _dataset(features, rewards):
         InteractionRecord(f"r{i}", 0, features[i], float(rewards[i]))
         for i in range(len(features))
     ]
-    return InteractionDataset(features.shape[1], records)
+    return make_dataset(features.shape[1], records)
 
 
 def _random_dataset(rng, n, d, theta=None, noise=0.1):
@@ -77,6 +77,20 @@ def test_ridge_fit_rejects_bad_inputs():
         ridge_fit(dataset, 1.0)
     with pytest.raises(ConfigurationError):
         ridge_fit(InteractionDataset(2), 0.0)
+
+
+@pytest.mark.parametrize("features, rewards, message", [
+    # Finite features whose Gram matrix overflows to inf.
+    ([[1e200, 1.0], [2.0, -1e200]], [1.0, 2.0], "overflow"),
+    # A finite Gram matrix with an overflowing right-hand side.
+    ([[1e150, 0.0]], [1e300], "overflow"),
+    # A finite Gram matrix of 1e200 entries that swallows lambda_reg: singular.
+    ([[1e100, 1e100]], [1.0], "not positive definite"),
+], ids=["gram-overflow", "rhs-overflow", "not-positive-definite"])
+def test_ridge_fit_arrays_raises_data_error_on_unsolvable_normal_equations(
+        features, rewards, message):
+    with pytest.raises(DataError, match=message):
+        ridge_fit_arrays(np.array(features), np.array(rewards), 1.0)
 
 
 def test_greedy_action_basic():
@@ -291,7 +305,7 @@ def test_prefix_slice_fit_equals_ridge_fit_on_prefix_dataset(d, total, data):
     dataset = _dataset(rng.normal(size=(total, d)), rng.normal(size=total))
     features, rewards = dataset.feature_matrix(), dataset.rewards()
     sliced = ridge_fit_arrays(features[:n], rewards[:n], 0.5)
-    direct = ridge_fit(InteractionDataset(d, dataset.records[:n]), 0.5)
+    direct = ridge_fit(make_dataset(d, dataset.records[:n]), 0.5)
     assert sliced.theta_hat.tobytes() == direct.theta_hat.tobytes()
     assert sliced.sigma_prime_n.matrix.tobytes() == direct.sigma_prime_n.matrix.tobytes()
     assert sliced.n_samples == direct.n_samples == n

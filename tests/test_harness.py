@@ -427,6 +427,28 @@ def test_cli_maps_typed_errors_to_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 2
 
 
+@pytest.mark.parametrize("row, message", [
+    ("c0,0,1e200,1e200,1.0", "overflow"),
+    ("c0,0,1e100,1e100,1.0", "not positive definite"),
+], ids=["gram-overflow", "not-positive-definite"])
+def test_cli_fit_reports_unsolvable_normal_equations(tmp_path, capsys, row, message):
+    csv_path = tmp_path / "huge.csv"
+    csv_path.write_text("context_id,action_index,f0,f1,reward\n" + row + "\n")
+    assert cli_main(["fit", "--dataset", str(csv_path), "--out", str(tmp_path / "e.npz")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "e.npz").exists()
+
+
+def test_cli_reports_a_directory_given_as_a_file(tmp_path, capsys):
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    assert cli_main(["fit", "--dataset", str(directory), "--out", str(tmp_path / "e.npz")]) == 2
+    assert cli_main(_plan_args(directory)) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and err.count(str(directory)) == 2
+
+
 def test_cli_eval_rejects_sigma_not_positive_definite(tmp_path, capsys):
     # A well-formed estimate whose sigma is finite but singular (zero at d=20).
     estimate_path = tmp_path / "estimate.npz"
