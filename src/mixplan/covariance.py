@@ -94,9 +94,27 @@ def _add_outer_products(matrix: np.ndarray, rows: np.ndarray, scale: float) -> N
 
 
 def _context_blocks(contexts: Sequence[Context], d: int):
-    """Yield (indices, features): contexts with the same action count A,
+    """Yield (position, features): contexts with the same action count A,
     their feature rows stacked into a (g, A, d) array of about
-    ``_BLOCK_FLOATS`` floats."""
+    ``_BLOCK_FLOATS`` floats.
+
+    ``position`` says where the block's contexts sit in ``contexts``: a
+    slice when all contexts have one action count (every block is then a
+    contiguous run, and no per-context grouping is needed), otherwise an
+    index array.
+    """
+    shapes = {context.features.shape for context in contexts}
+    if len(shapes) == 1:
+        ((n_actions, context_d),) = shapes
+        if context_d != d:
+            raise ContractViolation(f"context dimension {context_d} != {d}")
+        step = max(1, _BLOCK_FLOATS // (n_actions * d))
+        for start in range(0, len(contexts), step):
+            chunk = contexts[start:start + step]
+            g = len(chunk)
+            yield (slice(start, start + g),
+                   np.concatenate([c.features for c in chunk]).reshape(g, n_actions, d))
+        return
     by_actions: dict[int, list[int]] = {}
     for i, context in enumerate(contexts):
         if context.d != d:
@@ -106,7 +124,7 @@ def _context_blocks(contexts: Sequence[Context], d: int):
         step = max(1, _BLOCK_FLOATS // (n_actions * d))
         for start in range(0, len(indices), step):
             block = indices[start:start + step]
-            yield block, np.stack([contexts[i].features for i in block])
+            yield np.array(block, dtype=np.intp), np.stack([contexts[i].features for i in block])
 
 
 def _mahalanobis_rows(chol_lower: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -12,12 +12,18 @@ calls ``scipy.linalg.cho_solve(cho_factor(m, lower=True), rhs)`` makes, from
 a Gram matrix or right-hand side that overflows, or a Gram matrix that
 cannot be factored, raises ``DataError``.
 
-Evaluation runs in blocks: contexts with the same number of actions are
-stacked into (g, A, d) arrays of about ``covariance._BLOCK_FLOATS`` floats
-(``covariance._context_blocks``, which the planner shares), and each
-block takes one stacked score product and one triangular solve (contexts
-with a single action keep one solve each). Every output is bit-identical to
-scoring and solving one context at a time.
+Evaluation runs on an ``EvaluationSet``, the held-out contexts stacked once:
+contexts with the same number of actions are grouped into (g, A, d) arrays
+of about ``covariance._BLOCK_FLOATS`` floats (``covariance._context_blocks``,
+which the planner shares), and each block keeps its features, its true
+values (theta_star's scores or given labels, checked for shape and
+finiteness) and their maximum. The harness builds one set per trial and
+evaluates every estimate on it; ``evaluate`` and ``evaluate_values`` also
+take a plain list of contexts, stacked on the spot one block at a time (so
+no more than one block is held at once). Each evaluation
+takes one stacked score product and one triangular solve per block
+(contexts with a single action keep one solve each). Every output is
+bit-identical to scoring and solving one context at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -138,56 +144,149 @@ def greedy_action(estimate: RidgeEstimate, context: Context) -> int:
     return int(np.argmax(scores))
 
 
+class _EvalBlock(NamedTuple):
+    """Contexts with one action count A, stacked: where they sit in the set
+    (a slice or an index array), their (g, A, d) features, their (g, A)
+    true values and each context's best true value."""
+
+    position: slice | np.ndarray
+    features: np.ndarray
+    true: np.ndarray
+    best: np.ndarray
+
+
+class EvaluationSet:
+    """A held-out context set stacked once, to evaluate many estimates on.
+
+    The true action values are theta_star's scores (``theta_star``) or one
+    given array per context (``true_values``: recorded relevance labels,
+    say); exactly one of the two is passed. The contexts are grouped and
+    stacked by ``covariance._context_blocks``, and each block keeps its
+    read-only features, its true values and their maximum. Evaluating an
+    estimate on the set then costs one score product, one argmax and one
+    triangular solve per block.
+    """
+
+    __slots__ = ("d", "n", "theta_star", "blocks")
+
+    def __init__(self, contexts: Sequence[Context], *,
+                 theta_star: Optional[np.ndarray] = None,
+                 true_values: Optional[Sequence[np.ndarray]] = None):
+        if (theta_star is None) == (true_values is None):
+            raise ContractViolation("pass exactly one of theta_star and true_values")
+        if theta_star is not None:
+            theta_star = np.asarray(theta_star, dtype=np.float64)
+        self.theta_star = theta_star
+        self.d, self.n, blocks = _stack(contexts, theta_star, true_values)
+        self.blocks = tuple(blocks)
+
+
+def _stack(contexts: Sequence[Context], theta_star: Optional[np.ndarray],
+           true_values: Optional[Sequence[np.ndarray]]):
+    """Check an evaluation set's inputs; return its dimension, its size and
+    an iterator that stacks its blocks one at a time, as they are reached.
+
+    A block is one of ``_context_blocks``' with its true values: theta_star's
+    scores, or the given values, one finite (A,) array per context.
+    """
+    if not contexts:
+        raise ConfigurationError("evaluation context set is empty")
+    n = len(contexts)
+    if true_values is not None and len(true_values) != n:
+        raise ContractViolation(f"{len(true_values)} true-value arrays for {n} evaluation contexts")
+    d = contexts[0].d if theta_star is None else len(theta_star)
+
+    def blocks():
+        for position, feats in _context_blocks(contexts, d):
+            if theta_star is not None:
+                true = feats @ theta_star
+            else:
+                indices = range(n)[position] if isinstance(position, slice) else position.tolist()
+                true = np.stack([_true_row(true_values[i], contexts[i].n_actions, i)
+                                 for i in indices])
+            feats.setflags(write=False)
+            true.setflags(write=False)
+            yield _EvalBlock(position, feats, true, true.max(axis=1))
+
+    return d, n, blocks()
+
+
+def _true_row(values, n_actions: int, i: int) -> np.ndarray:
+    """Context ``i``'s true values as a finite (n_actions,) float array."""
+    try:
+        row = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ContractViolation(f"true values of evaluation context {i} are not numbers") from None
+    if row.shape != (n_actions,):
+        raise ContractViolation(
+            f"true values of evaluation context {i} have shape {row.shape}, "
+            f"expected ({n_actions},)")
+    if not np.isfinite(row).all():
+        raise ContractViolation(f"non-finite true values for evaluation context {i}")
+    return row
+
+
 def evaluate(estimate: RidgeEstimate, instance: BanditInstance,
-             eval_contexts: Sequence[Context]) -> EvaluationReport:
+             eval_contexts: Sequence[Context] | EvaluationSet) -> EvaluationReport:
     """Average per-context max uncertainty, suboptimality gap, and greedy value.
 
     Evaluation is noiseless: values and gaps are inner products with
     theta_star, so a perfectly estimated parameter yields zero gap exactly.
+    ``eval_contexts`` is an ``EvaluationSet`` built from the instance's
+    theta_star, or a list of contexts, stacked block by block on the spot.
     """
     if instance.theta_star is None:
         raise ContractViolation(
             "evaluation against theta_star requires a linear instance"
         )
-    theta_star = instance.theta_star
-    return _evaluate_blocks(estimate, eval_contexts, lambda block, feats: feats @ theta_star)
+    if not isinstance(eval_contexts, EvaluationSet):
+        return _evaluate_blocks(estimate, *_stack(eval_contexts, instance.theta_star, None))
+    if (eval_contexts.theta_star is None
+            or not np.array_equal(eval_contexts.theta_star, instance.theta_star)):
+        raise ContractViolation("the evaluation set was not built from this instance's theta_star")
+    return _evaluate_blocks(estimate, eval_contexts.d, eval_contexts.n, eval_contexts.blocks)
 
 
-def evaluate_values(estimate: RidgeEstimate, eval_contexts: Sequence[Context],
-                    true_values: Sequence[np.ndarray]) -> EvaluationReport:
+def evaluate_values(estimate: RidgeEstimate, eval_contexts: Sequence[Context] | EvaluationSet,
+                    true_values: Optional[Sequence[np.ndarray]] = None) -> EvaluationReport:
     """``evaluate`` against given true values: ``true_values[i]`` holds the
     value of every action of ``eval_contexts[i]`` (theta_star scores, or
-    recorded relevance labels for a data-driven instance)."""
-    return _evaluate_blocks(estimate, eval_contexts,
-                            lambda block, feats: np.stack([true_values[i] for i in block]))
+    recorded relevance labels for a data-driven instance). An
+    ``EvaluationSet`` holds its true values, so none are passed with it."""
+    if not isinstance(eval_contexts, EvaluationSet):
+        if true_values is None:
+            raise ContractViolation("evaluating a list of contexts needs their true values")
+        return _evaluate_blocks(estimate, *_stack(eval_contexts, None, true_values))
+    if true_values is not None:
+        raise ContractViolation("an evaluation set already holds its true values")
+    return _evaluate_blocks(estimate, eval_contexts.d, eval_contexts.n, eval_contexts.blocks)
 
 
-def _evaluate_blocks(estimate: RidgeEstimate, eval_contexts: Sequence[Context],
-                     true_scores) -> EvaluationReport:
-    """The evaluation loop of ``evaluate`` and ``evaluate_values``;
-    ``true_scores(indices, features)`` gives a block's (g, A) true values."""
-    if not eval_contexts:
-        raise ConfigurationError("evaluation context set is empty")
-    n = len(eval_contexts)
+def _evaluate_blocks(estimate: RidgeEstimate, d: int, n: int, blocks) -> EvaluationReport:
+    """The evaluation loop of ``evaluate`` and ``evaluate_values``, over the
+    blocks of an evaluation set of n contexts of dimension d."""
+    if d != estimate.d:
+        raise ContractViolation(
+            f"evaluation context dimension {d} != estimate dimension {estimate.d}")
     gaps = np.empty(n)
     values = np.empty(n)
     uncertainties = np.empty(n)
     cov = estimate.sigma_prime_n
-    for block, feats in _context_blocks(eval_contexts, estimate.d):
+    for position, feats, true, best in blocks:
         g, n_actions, d = feats.shape
         # A stacked product scores each (A, d) matrix on its own, bit for bit
         # like one context at a time; a flattened (g*A, d) product does not.
         chosen = np.argmax(feats @ estimate.theta_hat, axis=1)
-        true = true_scores(block, feats)
-        values[block] = true[np.arange(g), chosen]
-        gaps[block] = true.max(axis=1) - values[block]
+        picked = true[np.arange(g), chosen]
+        values[position] = picked
+        gaps[position] = best - picked
         if n_actions == 1:
             # A one-column triangular solve takes another BLAS path than a
             # column of a wider solve, and its last bits differ.
-            uncertainties[block] = [cov.mahalanobis_rows(rows)[0] for rows in feats]
+            uncertainties[position] = [cov.mahalanobis_rows(rows)[0] for rows in feats]
         else:
             norms = cov.mahalanobis_rows(feats.reshape(g * n_actions, d))
-            uncertainties[block] = norms.reshape(g, n_actions).max(axis=1)
+            uncertainties[position] = norms.reshape(g, n_actions).max(axis=1)
     scale = math.sqrt(n) if n > 1 else 1.0
     return EvaluationReport(
         expected_max_uncertainty=float(uncertainties.mean()),

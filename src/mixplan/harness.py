@@ -6,9 +6,12 @@ A trial generates or ingests the environment, plans the collection policy
 on an independent offline context stream, collects all of its online data
 in one ``sample`` call, stacks it into one feature matrix, and then, at
 every evaluation point n, ridge-fits the first n rows of that matrix and
-evaluates the extracted greedy policy. The supervised oracle takes the
-place of the last two steps with ``baselines.oracle_fits``, which fits the
-full feedback of the first n contexts.
+evaluates the extracted greedy policy. The held-out contexts and their
+true values are stacked once per trial into an ``estimator.EvaluationSet``
+(the trial keeps only the set), so each evaluation point only scores and
+solves. The supervised oracle takes the place of the collection and the
+prefix fits with ``baselines.oracle_fits``, which fits the full feedback of
+the first n contexts.
 
 Each trial owns one master seed, split deterministically into environment,
 offline-stream, online-stream, policy, and evaluation streams. The online
@@ -49,6 +52,7 @@ from .core import (
 )
 from .estimator import (
     EvaluationReport,
+    EvaluationSet,
     RidgeEstimate,
     evaluate,
     evaluate_values,
@@ -191,7 +195,9 @@ def _linear_env(instance: BanditInstance, config: RunConfig, seeds) -> _TrialEnv
     offline_rng = np.random.default_rng(s_offline)
     eval_rng = np.random.default_rng(s_eval)
     offline_contexts = [instance.context_sampler(offline_rng) for _ in range(config.M)]
-    eval_contexts = [instance.context_sampler(eval_rng) for _ in range(config.eval_set_size)]
+    eval_set = EvaluationSet(
+        [instance.context_sampler(eval_rng) for _ in range(config.eval_set_size)],
+        theta_star=instance.theta_star)
 
     norm_cap = None if config.environment == "synthetic" else 1.0
     return _TrialEnv(
@@ -199,7 +205,7 @@ def _linear_env(instance: BanditInstance, config: RunConfig, seeds) -> _TrialEnv
         offline_contexts=offline_contexts,
         horizon=config.N,
         norm_cap=norm_cap,
-        evaluate_estimate=lambda estimate: evaluate(estimate, instance, eval_contexts),
+        evaluate_estimate=lambda estimate: evaluate(estimate, instance, eval_set),
     )
 
 
@@ -223,17 +229,15 @@ def _rank_env(ingest, config: RunConfig, seeds) -> _TrialEnv:
     online_order = np.random.default_rng(s_stream).permutation(len(train))[:horizon]
     instance = make_rank_instance(train, order=online_order)
 
-    test_contexts = [rc.context for rc in test]
-    test_relevance = [rc.relevance for rc in test]
-
     # Relevance labels are the true action values; the gap is not reported.
+    eval_set = EvaluationSet([rc.context for rc in test],
+                             true_values=[rc.relevance for rc in test])
     return _TrialEnv(
         instance=instance,
         offline_contexts=offline_contexts,
         horizon=horizon,
         norm_cap=1.0,
-        evaluate_estimate=lambda estimate: evaluate_values(estimate, test_contexts,
-                                                           test_relevance),
+        evaluate_estimate=lambda estimate: evaluate_values(estimate, eval_set),
         reports_gap=False,
     )
 

@@ -73,12 +73,12 @@ def dataset_to_csv(dataset: InteractionDataset, path) -> None:
             + [f"f{j}" for j in range(dataset.d)]
             + ["reward"]
         )
-        for record in dataset:
-            writer.writerow(
-                [record.context_id, record.action_index]
-                + [_float_repr(v) for v in record.feature]
-                + [_float_repr(record.reward)]
-            )
+        # csv writes a float as its repr, the text _float_repr gives.
+        writer.writerows(
+            [record.context_id, record.action_index, *features, reward]
+            for record, features, reward in zip(
+                dataset, dataset.feature_matrix().tolist(), dataset.rewards().tolist())
+        )
 
 
 def dataset_from_csv(path) -> InteractionDataset:

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from mixplan import ConfigurationError, ContractViolation, RegularizedCovariance
+from mixplan import ConfigurationError, Context, ContractViolation, RegularizedCovariance
 from mixplan import covariance as covariance_module
-from mixplan.covariance import GROWTH_SLACK, _mahalanobis_rows
+from mixplan.covariance import GROWTH_SLACK, _context_blocks, _mahalanobis_rows
 
 
 def _random_unit_vectors(rng, count, d):
@@ -392,3 +392,49 @@ def test_batched_updates_gate_every_row_they_add():
     assert cov.rank_one_updates(stopped, [10.0, 10.0]) == 1
     assert not cov._growth_bound < math.log(2.0) - GROWTH_SLACK
     assert cov.rank_one_updates(np.zeros((0, 3)), []) == 0
+
+
+def _grouped_blocks(contexts, d, block_floats):
+    """The grouping by action count written out one context at a time."""
+    by_actions = {}
+    for i, context in enumerate(contexts):
+        by_actions.setdefault(context.n_actions, []).append(i)
+    for n_actions, indices in by_actions.items():
+        step = max(1, block_floats // (n_actions * d))
+        for start in range(0, len(indices), step):
+            block = indices[start:start + step]
+            yield block, np.stack([contexts[i].features for i in block])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 12),
+    action_counts=st.lists(st.integers(1, 6), min_size=1, max_size=30),
+    uniform=st.booleans(),
+    block_floats=st.sampled_from([1, 7, 64, covariance_module._BLOCK_FLOATS]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_context_blocks_keep_the_grouping_and_chunk_boundaries(d, action_counts, uniform,
+                                                               block_floats, seed):
+    if uniform:
+        action_counts = [action_counts[0]] * len(action_counts)
+    rng = np.random.default_rng(seed)
+    contexts = [Context(f"c{i}", rng.normal(size=(a, d))) for i, a in enumerate(action_counts)]
+    with mock.patch.object(covariance_module, "_BLOCK_FLOATS", block_floats):
+        blocks = list(_context_blocks(contexts, d))
+    expected = list(_grouped_blocks(contexts, d, block_floats))
+    assert len(blocks) == len(expected)
+    one_count = len(set(action_counts)) == 1
+    for (position, features), (indices, stacked) in zip(blocks, expected):
+        # One action count: every block is a contiguous run, given as a slice.
+        assert isinstance(position, slice) == one_count
+        assert np.arange(len(contexts))[position].tolist() == indices
+        assert features.shape == stacked.shape
+        assert features.tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize("shapes", [[(2, 3), (2, 3)], [(2, 2), (1, 3)]], ids=["uniform", "mixed"])
+def test_context_blocks_reject_a_foreign_dimension(shapes):
+    contexts = [Context(f"c{i}", np.ones(shape)) for i, shape in enumerate(shapes)]
+    with pytest.raises(ContractViolation, match="context dimension 3 != 2"):
+        list(_context_blocks(contexts, 2))

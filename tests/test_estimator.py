@@ -23,7 +23,7 @@ from mixplan import (
     greedy_action,
     ridge_fit,
 )
-from mixplan.estimator import evaluate_values, ridge_fit_arrays
+from mixplan.estimator import EvaluationSet, evaluate_values, ridge_fit_arrays
 
 from conftest import make_context, make_dataset, unit_ball_contexts
 
@@ -260,32 +260,98 @@ def _reference_report(estimate, contexts, true_values):
 @given(
     d=st.integers(1, 30),
     action_counts=st.lists(st.integers(1, 12), min_size=1, max_size=40),
-    tied=st.booleans(),
+    uniform=st.booleans(),
     block_floats=st.sampled_from([1, 7, 64, 500, covariance_module._BLOCK_FLOATS]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_batched_evaluation_matches_per_context_loop(d, action_counts, tied, block_floats, seed):
+def test_batched_evaluation_matches_per_context_loop(d, action_counts, uniform, block_floats,
+                                                     seed):
     # Block sizes from one context per block up to the module default, so
-    # sets with mixed action counts span several blocks per group.
+    # sets with mixed action counts span several blocks per group; uniform
+    # sets (single-action ones among them) take the contiguous-slice path.
+    # One stacked set is evaluated against several estimates, and so is the
+    # plain list, which stacks on the spot.
+    if uniform:
+        action_counts = [action_counts[0]] * len(action_counts)
     rng = np.random.default_rng(seed)
     contexts = [Context(f"c{i}", rng.normal(size=(a, d))) for i, a in enumerate(action_counts)]
-    fit = ridge_fit(_dataset(rng.normal(size=(3 * d, d)), rng.normal(size=3 * d)), 0.7)
-    theta_hat = np.zeros(d) if tied else fit.theta_hat
-    estimate = RidgeEstimate(theta_hat, fit.sigma_prime_n, fit.n_samples)
     theta_star = rng.normal(size=d)
     instance = _instance_with_contexts(theta_star, contexts)
     labels = [rng.integers(0, 3, size=c.n_actions).astype(np.float64) for c in contexts]
+    true_scores = [c.features @ theta_star for c in contexts]
+    fits = [ridge_fit(_dataset(rng.normal(size=(k * d, d)), rng.normal(size=k * d)), lam)
+            for k, lam in ((3, 0.7), (1, 2.0))]
+    tied = RidgeEstimate(np.zeros(d), fits[0].sigma_prime_n, fits[0].n_samples)
     with mock.patch.object(covariance_module, "_BLOCK_FLOATS", block_floats):
-        report = evaluate(estimate, instance, contexts)
-        labelled = evaluate_values(estimate, contexts, labels)
-    expected = _reference_report(estimate, contexts, [c.features @ theta_star for c in contexts])
-    for field in EvaluationReport.__dataclass_fields__:
-        assert getattr(report, field) == getattr(expected, field), field
-    expected = _reference_report(estimate, contexts, labels)
-    for field in EvaluationReport.__dataclass_fields__:
-        assert getattr(labelled, field) == getattr(expected, field), field
-    if tied:  # every score is 0, so the greedy policy takes action 0
-        assert labelled.policy_value == float(np.mean([label[0] for label in labels]))
+        linear_set = EvaluationSet(contexts, theta_star=instance.theta_star)
+        labelled_set = EvaluationSet(contexts, true_values=labels)
+        for estimate in (tied, *fits):
+            reports = [
+                (evaluate(estimate, instance, linear_set), true_scores),
+                (evaluate(estimate, instance, contexts), true_scores),
+                (evaluate_values(estimate, labelled_set), labels),
+                (evaluate_values(estimate, linear_set), true_scores),
+                (evaluate_values(estimate, contexts, labels), labels),
+            ]
+            for report, truth in reports:
+                expected = _reference_report(estimate, contexts, truth)
+                for field in EvaluationReport.__dataclass_fields__:
+                    assert getattr(report, field) == getattr(expected, field), field
+    # Every score of the tied estimate is 0, so the greedy policy takes action 0.
+    assert (evaluate_values(tied, labelled_set).policy_value
+            == float(np.mean([label[0] for label in labels])))
+
+
+def test_evaluation_set_is_read_only_and_positions_cover_every_context(rng):
+    contexts = unit_ball_contexts(rng, 7, 3, 2) + unit_ball_contexts(rng, 5, 3, 4)
+    eval_set = EvaluationSet(contexts, theta_star=rng.normal(size=3))
+    assert (eval_set.n, eval_set.d) == (12, 3)
+    covered = np.concatenate([np.arange(12)[block.position] for block in eval_set.blocks])
+    assert sorted(covered.tolist()) == list(range(12))
+    for block in eval_set.blocks:
+        assert not block.features.flags.writeable and not block.true.flags.writeable
+    uniform = EvaluationSet(contexts[:7], true_values=[np.zeros(2)] * 7)
+    assert [block.position for block in uniform.blocks] == [slice(0, 7)]
+
+
+def test_evaluate_rejects_a_set_of_other_true_values(rng):
+    contexts = unit_ball_contexts(rng, 4, 3, 2)
+    instance = _instance_with_contexts(np.ones(3), contexts)
+    estimate = ridge_fit(InteractionDataset(3), 1.0)
+    for eval_set in (EvaluationSet(contexts, theta_star=np.full(3, 2.0)),
+                     EvaluationSet(contexts, true_values=[np.zeros(2)] * 4)):
+        with pytest.raises(ContractViolation):
+            evaluate(estimate, instance, eval_set)
+    labelled = EvaluationSet(contexts, true_values=[np.zeros(2)] * 4)
+    with pytest.raises(ContractViolation):
+        evaluate_values(estimate, labelled, [np.zeros(2)] * 4)
+    with pytest.raises(ContractViolation):
+        evaluate_values(estimate, contexts)
+    with pytest.raises(ContractViolation):
+        evaluate(ridge_fit(InteractionDataset(2), 1.0), instance, contexts)
+    with pytest.raises(ConfigurationError):
+        EvaluationSet([], theta_star=np.ones(3))
+
+
+_TWO_ACTION_CONTEXTS = [[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]]]
+
+
+@pytest.mark.parametrize("labels, message", [
+    # Before the check, a third value made the gap count an action that
+    # does not exist: expected_suboptimality 9.0 and no error.
+    ([[0.0, 0.0, 9.0]] * 3, r"shape \(3,\), expected \(2,\)"),
+    ([[0.0, 1.0]] * 2, "2 true-value arrays for 3"),  # was an IndexError
+    ([[0.0, 1.0], [1.0, 0.0], [1.0]], r"shape \(1,\)"),  # ragged block: a bare ValueError
+    ([[0.0, 1.0], [np.nan, 0.0], [1.0, 0.0]], "non-finite"),
+    ([[0.0, 1.0], ["high", 0.0], [1.0, 0.0]], "not numbers"),
+], ids=["values-for-missing-actions", "too-few-entries", "ragged-block", "non-finite",
+        "not-numbers"])
+def test_evaluate_values_checks_true_values_while_stacking(labels, message):
+    contexts = [make_context(rows, f"c{i}") for i, rows in enumerate(_TWO_ACTION_CONTEXTS)]
+    base = ridge_fit(InteractionDataset(2), 1.0)
+    estimate = RidgeEstimate(np.array([1.0, 0.0]), base.sigma_prime_n, 0)
+    with pytest.raises(ContractViolation, match=message):
+        evaluate_values(estimate, contexts, labels)
 
 
 def test_evaluate_rejects_mismatched_context_dimension():

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from mixplan import (
 )
 from mixplan.baselines import RandomPolicy
 from mixplan.cli import main as cli_main
+from mixplan import estimator as estimator_module
 from mixplan import harness
 from mixplan.artifact import write_artifact
 from mixplan.environments import generate_standin_file
@@ -141,6 +144,28 @@ def test_stand_in_environment_pipeline(tmp_path):
     # metrics.csv leaves the suboptimality column empty for data-driven envs
     line = result.metrics_path.read_text().strip().splitlines()[1]
     assert ",," in line
+
+
+@pytest.mark.parametrize("environment, algorithm", [
+    ("synthetic", "planner_sampler"),
+    ("hard_uniform", "random"),
+    ("stand_in", "planner_sampler"),
+    ("stand_in", "supervised_oracle"),
+])
+def test_run_trial_stacks_its_evaluation_set_once(tmp_path, environment, algorithm):
+    config = _tiny_config(tmp_path, environment=environment, algorithm=algorithm, n_trials=1,
+                          eval_every=10, standin_queries=40, rank_raw_dim=20,
+                          rank_subsampled_dim=8)
+    if environment == "stand_in":
+        config = harness._materialize_standin(
+            dataclasses.replace(config, data_path=str(tmp_path / "standin.txt")))
+    stack = estimator_module._context_blocks
+    with mock.patch.object(estimator_module, "_context_blocks", wraps=stack) as stacking:
+        rows = run_trial(config, 0)
+        assert stacking.call_count == 1
+        run_trial(config, 1)
+    assert len(rows) > 2  # one stacking served every evaluation point
+    assert stacking.call_count == 2
 
 
 def test_stand_in_default_file_is_keyed_by_generator_parameters(tmp_path, monkeypatch):

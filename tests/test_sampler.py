@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from mixplan import (
     BanditInstance,
     ConfigurationError,
     ExperimentConfig,
+    InteractionDataset,
+    InteractionRecord,
     RegularizedCovariance,
     make_hard_uniform,
     plan,
@@ -17,7 +21,7 @@ from mixplan.sampler import (
     dataset_to_npz,
 )
 
-from conftest import make_context
+from conftest import make_context, make_dataset
 
 
 def _fixed_instance(theta, rows, noise_std=0.0):
@@ -123,6 +127,38 @@ def test_dataset_csv_round_trip(tmp_path, rng):
         assert a.action_index == b.action_index
         assert a.reward == b.reward
         assert np.array_equal(a.feature, b.feature)
+
+
+def _per_value_csv(dataset, path):
+    """The interchange CSV written one record and one value at a time, each
+    float formatted with repr."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["context_id", "action_index"]
+                        + [f"f{j}" for j in range(dataset.d)] + ["reward"])
+        for record in dataset:
+            writer.writerow([record.context_id, record.action_index]
+                            + [repr(float(v)) for v in record.feature]
+                            + [repr(float(record.reward))])
+
+
+def test_dataset_csv_bytes_match_a_per_value_writer(tmp_path):
+    awkward = [-0.0, 0.0, 5e-324, 2.5e-310, -1e-320, 1e16, -1e16, 0.1, 1.0 / 3.0, 1e300,
+               123456789.125, -2.0 ** -1074, 9007199254740993.0]
+    d = 5
+    records = [
+        InteractionRecord(f"ctx,{i}" if i % 4 == 0 else f"ctx-{i}", i % 3,
+                          np.array([awkward[(i + j) % len(awkward)] for j in range(d)]),
+                          awkward[(7 * i) % len(awkward)])
+        for i in range(2 * len(awkward))
+    ]
+    dataset = make_dataset(d, records)
+    dataset_to_csv(dataset, tmp_path / "rows.csv")
+    _per_value_csv(dataset, tmp_path / "values.csv")
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
+    empty = tmp_path / "empty.csv"
+    dataset_to_csv(InteractionDataset(d), empty)
+    assert empty.read_bytes() == b"context_id,action_index,f0,f1,f2,f3,f4,reward\r\n"
 
 
 def test_dataset_npz_round_trip(tmp_path, rng):
