@@ -218,23 +218,12 @@ def coverage_test(process_family: BernoulliChain,
 class PotentialCheck:
     """Squared-norm elliptical potential versus 3x the log-determinant growth.
 
-    The unsquared sum is reported alongside for reference; the pass/fail
-    verdict uses the squared form, which is what the uncertainty-sum
-    argument consumes.
+    The squared form is what the uncertainty-sum argument consumes.
     """
 
     lhs_squared: float
-    lhs_unsquared: float
     rhs: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lhs_squared": self.lhs_squared,
-            "lhs_unsquared": self.lhs_unsquared,
-            "rhs": self.rhs,
-            "pass": self.passed,
-        }
 
 
 def potential_check(vectors: np.ndarray, lambda_reg: float) -> PotentialCheck:
@@ -258,18 +247,15 @@ def potential_check(vectors: np.ndarray, lambda_reg: float) -> PotentialCheck:
     cov = RegularizedCovariance(d, lambda_reg, alpha=1.0, norm_cap=1.0)
     snap = None
     lhs_squared = 0.0
-    lhs_unsquared = 0.0
     for x in vectors:
         if cov.doubled_since(snap):
             snap = cov.snapshot()
         u = snap.mahalanobis(x)
         lhs_squared += u * u
-        lhs_unsquared += u
         cov.rank_one_update(x, u)
     rhs = 3.0 * (cov.log_det() - d * math.log(lambda_reg))
     return PotentialCheck(
         lhs_squared=lhs_squared,
-        lhs_unsquared=lhs_unsquared,
         rhs=rhs,
         passed=lhs_squared <= rhs + POTENTIAL_TOL,
     )
@@ -280,13 +266,6 @@ class SwitchCheck:
     snapshot_count: int
     bound: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "snapshot_count": self.snapshot_count,
-            "bound": self.bound,
-            "pass": self.passed,
-        }
 
 
 def switch_bound_check(policy: MixturePolicy, config: ExperimentConfig) -> SwitchCheck:
@@ -426,8 +405,11 @@ def verify_lemmas(seed: int = 0, coverage_trials: int = 4000, sandwich_trials: i
     """Run the whole verification suite at reduced scale and report JSON-ably.
 
     The acceptance tests run the same checks at their full advertised
-    scales; this entry point backs the verify-lemmas CLI command.
+    scales; this entry point backs the verify-lemmas CLI command. Raises
+    ConfigurationError unless planner_runs is at least 1.
     """
+    if planner_runs < 1:
+        raise ConfigurationError(f"planner_runs must be at least 1, got {planner_runs}")
     from .environments import make_hard_nonconcentrating, make_hard_uniform, make_random_unit_instance
 
     report: dict = {"seed": seed}

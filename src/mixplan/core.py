@@ -3,7 +3,8 @@
 A bandit instance bundles the feature geometry, the reward model, and the
 context distribution. Everything downstream (planner, sampler, estimator,
 harness) speaks in these types. All of them are immutable after
-construction and safe to share across threads, except the instance of
+construction and safe to share across threads, with two exceptions:
+``InteractionDataset``, which ``append`` grows in place, and the instance of
 ``environments.make_rank_instance``, whose stream advances a hidden cursor.
 Random generators are always passed in explicitly and owned by the caller,
 never stored.

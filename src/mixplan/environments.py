@@ -234,6 +234,12 @@ class RankDatasetSpec:
     raw_dim: int = 700
     subsampled_dim: int = 300
 
+    def __post_init__(self):
+        if not 1 <= self.subsampled_dim <= self.raw_dim:
+            raise ConfigurationError(
+                f"need 1 <= subsampled_dim <= raw_dim, got subsampled_dim={self.subsampled_dim}, "
+                f"raw_dim={self.raw_dim}")
+
 
 @dataclass
 class QueryGroup:
@@ -314,8 +320,6 @@ def parse_rank_file(path) -> list[QueryGroup]:
 
 def draw_subsample_indices(spec: RankDatasetSpec, seed: int) -> np.ndarray:
     """Coordinate subsample for this seed: sorted, without replacement."""
-    if spec.subsampled_dim > spec.raw_dim:
-        raise ConfigurationError("cannot subsample to more coordinates than exist")
     rng = np.random.default_rng(seed)
     indices = rng.choice(spec.raw_dim, size=spec.subsampled_dim, replace=False)
     return np.sort(indices)
@@ -455,6 +459,8 @@ def generate_standin_file(path, n_queries: int, seed: int, raw_dim: int = 700) -
     """
     if n_queries < 1:
         raise ConfigurationError("need at least one query")
+    if raw_dim < 1:
+        raise ConfigurationError(f"raw_dim must be at least 1, got {raw_dim}")
     rng = np.random.default_rng(seed)
     weights = rng.normal(0.0, 1.0, size=raw_dim)
     scale = math.sqrt(max(1.0, raw_dim * _STANDIN_DENSITY))

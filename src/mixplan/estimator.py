@@ -18,9 +18,9 @@ of about ``covariance._BLOCK_FLOATS`` floats (``covariance._context_blocks``,
 which the planner shares), and each block keeps its features, its true
 values (theta_star's scores or given labels, checked for shape and
 finiteness) and their maximum. The harness builds one set per trial and
-evaluates every estimate on it; ``evaluate`` and ``evaluate_values`` also
-take a plain list of contexts, stacked on the spot one block at a time (so
-no more than one block is held at once). Each evaluation
+evaluates every estimate on it; ``evaluate`` also takes a plain list of
+contexts, stacked on the spot one block at a time (so no more than one block
+is held at once), while ``evaluate_values`` takes only a set. Each evaluation
 takes one stacked score product and one triangular solve per block
 (contexts with a single action keep one solve each). Every output is
 bit-identical to scoring and solving one context at a time.
@@ -247,19 +247,13 @@ def evaluate(estimate: RidgeEstimate, instance: BanditInstance,
     return _evaluate_blocks(estimate, eval_contexts.d, eval_contexts.n, eval_contexts.blocks)
 
 
-def evaluate_values(estimate: RidgeEstimate, eval_contexts: Sequence[Context] | EvaluationSet,
-                    true_values: Optional[Sequence[np.ndarray]] = None) -> EvaluationReport:
-    """``evaluate`` against given true values: ``true_values[i]`` holds the
-    value of every action of ``eval_contexts[i]`` (theta_star scores, or
-    recorded relevance labels for a data-driven instance). An
-    ``EvaluationSet`` holds its true values, so none are passed with it."""
-    if not isinstance(eval_contexts, EvaluationSet):
-        if true_values is None:
-            raise ContractViolation("evaluating a list of contexts needs their true values")
-        return _evaluate_blocks(estimate, *_stack(eval_contexts, None, true_values))
-    if true_values is not None:
-        raise ContractViolation("an evaluation set already holds its true values")
-    return _evaluate_blocks(estimate, eval_contexts.d, eval_contexts.n, eval_contexts.blocks)
+def evaluate_values(estimate: RidgeEstimate, eval_set: EvaluationSet) -> EvaluationReport:
+    """``evaluate`` against the true values ``eval_set`` holds: theta_star
+    scores, or recorded relevance labels for a data-driven instance."""
+    if not isinstance(eval_set, EvaluationSet):
+        raise ContractViolation(
+            f"evaluate_values takes an EvaluationSet, got {type(eval_set).__name__}")
+    return _evaluate_blocks(estimate, eval_set.d, eval_set.n, eval_set.blocks)
 
 
 def _evaluate_blocks(estimate: RidgeEstimate, d: int, n: int, blocks) -> EvaluationReport:

@@ -7,11 +7,13 @@ on an independent offline context stream, collects all of its online data
 in one ``sample`` call, stacks it into one feature matrix, and then, at
 every evaluation point n, ridge-fits the first n rows of that matrix and
 evaluates the extracted greedy policy. The held-out contexts and their
-true values are stacked once per trial into an ``estimator.EvaluationSet``
-(the trial keeps only the set), so each evaluation point only scores and
-solves. The supervised oracle takes the place of the collection and the
-prefix fits with ``baselines.oracle_fits``, which fits the full feedback of
-the first n contexts.
+true values are stacked into an ``estimator.EvaluationSet`` (the trial
+keeps only the set), so each evaluation point only scores and solves: once
+per trial for simulated instances, and once per ingest for ranking data,
+whose cache keeps the set in place of the test split. The supervised
+oracle takes the place of the collection and the prefix fits with
+``baselines.oracle_fits``, which fits the full feedback of the first n
+contexts.
 
 Each trial owns one master seed, split deterministically into environment,
 offline-stream, online-stream, policy, and evaluation streams. The online
@@ -61,7 +63,6 @@ from .estimator import (
 from .environments import (
     SPLIT_FILES,
     RankDatasetSpec,
-    RankedContext,
     generate_standin_file,
     ingest_rank_dataset,
     make_hard_goptimal,
@@ -125,6 +126,8 @@ class RunConfig:
             raise ConfigurationError("workers must be at least 1")
         if self.max_contexts is not None and self.max_contexts < 1:
             raise ConfigurationError("max_contexts must be at least 1")
+        if self.environment in ("rank_dataset", "stand_in"):
+            RankDatasetSpec(raw_dim=self.rank_raw_dim, subsampled_dim=self.rank_subsampled_dim)
         if self.environment == "rank_dataset" and not self.data_path:
             raise ConfigurationError(
                 "rank_dataset requires data_path; see the ingestion notes in the README "
@@ -209,11 +212,9 @@ def _linear_env(instance: BanditInstance, config: RunConfig, seeds) -> _TrialEnv
     )
 
 
-def _rank_env(ingest, config: RunConfig, seeds) -> _TrialEnv:
+def _rank_env(rank_data, config: RunConfig, seeds) -> _TrialEnv:
     _, s_offline, s_stream, _, _ = seeds
-    train: Sequence[RankedContext] = ingest.train
-    offline_pool: Sequence[RankedContext] = ingest.valid if ingest.valid else ingest.train
-    test: Sequence[RankedContext] = ingest.test if ingest.test else ingest.train
+    train, offline_pool, eval_set = rank_data
 
     horizon = min(config.N, len(train))
     if config.max_contexts is not None:
@@ -228,10 +229,6 @@ def _rank_env(ingest, config: RunConfig, seeds) -> _TrialEnv:
 
     online_order = np.random.default_rng(s_stream).permutation(len(train))[:horizon]
     instance = make_rank_instance(train, order=online_order)
-
-    # Relevance labels are the true action values; the gap is not reported.
-    eval_set = EvaluationSet([rc.context for rc in test],
-                             true_values=[rc.relevance for rc in test])
     return _TrialEnv(
         instance=instance,
         offline_contexts=offline_contexts,
@@ -261,10 +258,15 @@ def _prepare_trial_env(config: RunConfig, seeds) -> _TrialEnv:
 _INGEST_CACHE: dict = {}
 
 
-def _cached_ingest(data_path: str, spec: RankDatasetSpec, seed: int):
-    """Ingest once per process while the input stays the same: an entry is
-    reused only while the modification time and size of the ranking file,
-    or of each split file of a ranking directory, are unchanged."""
+def _cached_ingest(data_path: str, spec: RankDatasetSpec, seed: int) -> tuple:
+    """The ranking data a trial reads: the train split, the offline pool (the
+    validation split, else train) and the test split (else train) stacked
+    into an ``EvaluationSet`` whose true values are its relevance labels.
+
+    Ingested and stacked once per process while the input stays the same:
+    an entry is reused only while the modification time and size of the
+    ranking file, or of each split file of a ranking directory, are
+    unchanged."""
     path = Path(data_path).resolve()
     files = [path / name for name in SPLIT_FILES] if path.is_dir() else [path]
     stamp = tuple((f.stat().st_mtime_ns, f.stat().st_size) if f.exists() else None
@@ -272,7 +274,12 @@ def _cached_ingest(data_path: str, spec: RankDatasetSpec, seed: int):
     key = (path, spec, seed)
     cached = _INGEST_CACHE.get(key)
     if cached is None or cached[0] != stamp:
-        cached = _INGEST_CACHE[key] = (stamp, ingest_rank_dataset(data_path, spec, seed))
+        ingest = ingest_rank_dataset(data_path, spec, seed)
+        test = ingest.test or ingest.train
+        eval_set = EvaluationSet([rc.context for rc in test],
+                                 true_values=[rc.relevance for rc in test])
+        cached = _INGEST_CACHE[key] = (stamp, (ingest.train, ingest.valid or ingest.train,
+                                               eval_set))
     return cached[1]
 
 

@@ -1,12 +1,13 @@
 """Offline phase: reward-free uncertainty maximization over historical contexts.
 
-The planner walks the offline context stream exactly once. At each step it
-acts greedily with respect to the inverse-covariance norm measured against
-the most recent covariance snapshot, adds the chosen feature to the
-covariance (scaled by alpha), and re-snapshots whenever the determinant has
-more than doubled since the last snapshot. The result is a mixture policy:
-a uniform mixture over the per-step policies, held in memory as the K
-distinct snapshots plus the step at which each phase begins.
+The planner takes its M offline contexts as one batch and walks them once,
+in order. At each step it acts greedily with respect to the
+inverse-covariance norm measured against the most recent covariance
+snapshot, adds the chosen feature to the covariance (scaled by alpha), and
+re-snapshots whenever the determinant has more than doubled since the last
+snapshot. The result is a mixture policy: a uniform mixture over the
+per-step policies, held in memory as the K distinct snapshots plus the step
+at which each phase begins.
 
 Within a phase every step measures against the same snapshot, so ``plan``
 works a phase in blocks of steps. It chooses a block's actions with one
@@ -49,7 +50,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -264,27 +265,18 @@ def switch_count_budget(d: int, M: int, lambda_reg: float) -> float:
     return d * math.log2(1.0 + M / (d * lambda_reg))
 
 
-def plan(contexts: Iterable[Context], config: ExperimentConfig, *,
+def plan(contexts: Sequence[Context], config: ExperimentConfig, *,
          norm_cap: float | None = 1.0) -> tuple[MixturePolicy, UncertaintyTrace]:
-    """Run the reward-free offline pass over exactly config.M contexts.
+    """Run the reward-free offline pass over a batch of exactly config.M contexts.
 
     Returns the mixture policy and the uncertainty trace. Raises
-    ConfigurationError if the stream cannot supply M contexts and
-    ContractViolation if feature dimensions are inconsistent. The stream is
-    never read past its M-th context.
+    ConfigurationError if the batch does not hold M contexts and
+    ContractViolation if feature dimensions are inconsistent.
     """
-    if hasattr(contexts, "__len__") and len(contexts) != config.M:
-        raise ConfigurationError(
-            f"context stream has {len(contexts)} contexts, config expects M={config.M}"
-        )
-    stream = iter(contexts)
-    try:
-        context = next(stream)
-    except StopIteration:
-        raise ConfigurationError("offline context stream is empty") from None
-
-    d = context.d
     M = config.M
+    if len(contexts) != M:
+        raise ConfigurationError(f"{len(contexts)} offline contexts, config expects M={M}")
+    d = contexts[0].d
     cov = RegularizedCovariance(d, config.lambda_reg, config.alpha, norm_cap=norm_cap)
     most = _block_rows(d)
 
@@ -294,8 +286,6 @@ def plan(contexts: Iterable[Context], config: ExperimentConfig, *,
     actions = np.empty(M, dtype=np.int64)
     chosen = np.empty((M, d))
 
-    window = [context]  # contexts read so far, from step window_start on
-    window_start = 1
     snap = None
     block = 1
     m = 1  # the next step to apply
@@ -308,27 +298,9 @@ def plan(contexts: Iterable[Context], config: ExperimentConfig, *,
             phase_starts.append(m)
             decided = m - 1
         if decided < m:
-            # Choose steps m..stop against snap, reading what the stream
-            # has of them; a short stream fails when its end is reached.
-            del window[:m - window_start]
-            window_start = m
-            stop = min(M, m + min(block, most) - 1)
-            while window_start + len(window) <= stop:
-                try:
-                    context = next(stream)
-                except StopIteration:
-                    break
-                if context.d != d:
-                    raise ContractViolation("context dimension changed mid-stream")
-                window.append(context)
-            if not window:
-                raise ConfigurationError(
-                    f"offline context stream ended after {m - 1} of {M} contexts"
-                )
-            batch = window[:stop - m + 1]
-            decided = m + len(batch) - 1
+            decided = min(M, m + min(block, most) - 1)
             actions[m - 1:decided], values[m - 1:decided], chosen[m - 1:decided] = (
-                _greedy_block(snap, batch))
+                _greedy_block(snap, contexts[m - 1:decided]))
             block *= 2
         # Add the chosen rows until the growth screen stops them; the next
         # pass then runs the exact doubling test.

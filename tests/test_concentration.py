@@ -146,7 +146,6 @@ def test_potential_check_single_basis_vector():
     assert check.lhs_squared == pytest.approx(1.0, rel=1e-12)
     assert check.rhs == pytest.approx(3.0 * math.log(2.0), rel=1e-12)
     assert check.passed
-    assert check.lhs_unsquared == pytest.approx(1.0, rel=1e-12)
 
 
 def test_potential_check_zero_vectors():

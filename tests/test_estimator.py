@@ -291,7 +291,6 @@ def test_batched_evaluation_matches_per_context_loop(d, action_counts, uniform, 
                 (evaluate(estimate, instance, contexts), true_scores),
                 (evaluate_values(estimate, labelled_set), labels),
                 (evaluate_values(estimate, linear_set), true_scores),
-                (evaluate_values(estimate, contexts, labels), labels),
             ]
             for report, truth in reports:
                 expected = _reference_report(estimate, contexts, truth)
@@ -322,9 +321,6 @@ def test_evaluate_rejects_a_set_of_other_true_values(rng):
                      EvaluationSet(contexts, true_values=[np.zeros(2)] * 4)):
         with pytest.raises(ContractViolation):
             evaluate(estimate, instance, eval_set)
-    labelled = EvaluationSet(contexts, true_values=[np.zeros(2)] * 4)
-    with pytest.raises(ContractViolation):
-        evaluate_values(estimate, labelled, [np.zeros(2)] * 4)
     with pytest.raises(ContractViolation):
         evaluate_values(estimate, contexts)
     with pytest.raises(ContractViolation):
@@ -348,10 +344,8 @@ _TWO_ACTION_CONTEXTS = [[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.0, 0.0]], [[0.
         "not-numbers"])
 def test_evaluate_values_checks_true_values_while_stacking(labels, message):
     contexts = [make_context(rows, f"c{i}") for i, rows in enumerate(_TWO_ACTION_CONTEXTS)]
-    base = ridge_fit(InteractionDataset(2), 1.0)
-    estimate = RidgeEstimate(np.array([1.0, 0.0]), base.sigma_prime_n, 0)
     with pytest.raises(ContractViolation, match=message):
-        evaluate_values(estimate, contexts, labels)
+        EvaluationSet(contexts, true_values=labels)
 
 
 def test_evaluate_rejects_mismatched_context_dimension():
@@ -360,7 +354,7 @@ def test_evaluate_rejects_mismatched_context_dimension():
     with pytest.raises(ContractViolation):
         evaluate(estimate, _instance_with_contexts(np.ones(2), contexts), contexts)
     with pytest.raises(ContractViolation):
-        evaluate_values(estimate, contexts, [np.zeros(1), np.zeros(1)])
+        EvaluationSet(contexts, true_values=[np.zeros(1), np.zeros(1)])
 
 
 @settings(max_examples=40, deadline=None)

@@ -152,7 +152,11 @@ def test_stand_in_environment_pipeline(tmp_path):
     ("stand_in", "planner_sampler"),
     ("stand_in", "supervised_oracle"),
 ])
-def test_run_trial_stacks_its_evaluation_set_once(tmp_path, environment, algorithm):
+def test_run_trial_stacks_its_evaluation_set_once(tmp_path, monkeypatch, environment,
+                                                  algorithm):
+    # Simulated instances stack one set per trial; ranking data stacks its
+    # test split once, with the ingest, and every later trial reuses it.
+    monkeypatch.setattr(harness, "_INGEST_CACHE", {})
     config = _tiny_config(tmp_path, environment=environment, algorithm=algorithm, n_trials=1,
                           eval_every=10, standin_queries=40, rank_raw_dim=20,
                           rank_subsampled_dim=8)
@@ -165,7 +169,7 @@ def test_run_trial_stacks_its_evaluation_set_once(tmp_path, environment, algorit
         assert stacking.call_count == 1
         run_trial(config, 1)
     assert len(rows) > 2  # one stacking served every evaluation point
-    assert stacking.call_count == 2
+    assert stacking.call_count == (1 if environment == "stand_in" else 2)
 
 
 def test_stand_in_default_file_is_keyed_by_generator_parameters(tmp_path, monkeypatch):
@@ -507,6 +511,39 @@ def test_cli_run_experiment_rejects_bad_config_file(tmp_path, capsys, text, mess
     assert code == 2
     assert err.startswith("error:") and message in err
     assert not (tmp_path / "out").exists()
+
+
+_RANK = {"algorithm": "random", "N": 10, "data_path": "missing.txt"}
+
+
+@pytest.mark.parametrize("args, config, message", [
+    (["gen-standin", "--raw-dim", "0"], None, "raw_dim must be at least 1"),
+    (["gen-standin", "--raw-dim", "-3"], None, "raw_dim must be at least 1"),
+    (["ingest-ltr", "--path", "missing.txt", "--subsampled-dim", "-1"], None, "subsampled_dim"),
+    (["ingest-ltr", "--path", "missing.txt", "--raw-dim", "5", "--subsampled-dim", "6"], None,
+     "subsampled_dim"),
+    (["run-experiment"], dict(_RANK, environment="stand_in", rank_raw_dim=0), "subsampled_dim"),
+    (["run-experiment"], dict(_RANK, environment="rank_dataset", rank_subsampled_dim=-1),
+     "subsampled_dim"),
+    (["verify-lemmas", "--planner-runs", "0"], None, "planner_runs must be at least 1"),
+], ids=["standin-raw-dim-0", "standin-raw-dim-negative", "ingest-subsampled-dim-negative",
+        "ingest-subsampled-above-raw", "config-rank-raw-dim-0",
+        "config-rank-subsampled-dim-negative", "verify-lemmas-zero-planner-runs"])
+def test_cli_rejects_dimensions_and_run_counts_below_one(tmp_path, capsys, args, config,
+                                                         message):
+    # Each once ended in a numpy traceback, or (zero planner runs) in a PASS
+    # report with an Infinity that is not valid JSON. The check comes before
+    # any input is read, so the missing ranking file is never reached.
+    if config is not None:
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        args = args + ["--config", str(config_path)]
+    out = tmp_path / "out"
+    assert cli_main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_run_config_from_dict_rejects_bad_payloads():
