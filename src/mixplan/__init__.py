@@ -11,6 +11,8 @@ from .core import (
     BanditInstance,
     ConfigurationError,
     Context,
+    ContextBatch,
+    ContextLaw,
     ContractViolation,
     DataError,
     ExperimentConfig,

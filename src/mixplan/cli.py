@@ -24,6 +24,7 @@ from .environments import (
     RANK_MAX_ACTIONS,
     SPLIT_FILES,
     RankDatasetSpec,
+    check_standin_sizes,
     generate_standin_file,
     ingest_rank_dataset,
     make_hard_goptimal,
@@ -77,7 +78,7 @@ def _cmd_plan(args) -> int:
                               alpha=args.alpha)
     if pool is None:
         rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(0,)))
-        contexts = [instance.context_sampler(rng) for _ in range(config.M)]
+        contexts = instance.draw_contexts(rng, config.M)
     else:
         if len(pool) < config.M:
             raise ConfigurationError(
@@ -147,7 +148,7 @@ def _cmd_eval(args) -> int:
     instance, _, _ = _build_env(args)
     estimate = _load_estimate(args.estimate)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(2,)))
-    contexts = [instance.context_sampler(rng) for _ in range(args.n_eval)]
+    contexts = instance.draw_contexts(rng, args.n_eval)
     report = evaluate(estimate, instance, contexts)
     echo = {"env": args.env, "seed": args.seed, "n_eval": args.n_eval}
     Path(args.out).write_text(report.to_json(config_echo=echo))
@@ -200,6 +201,7 @@ def _cmd_verify_lemmas(args) -> int:
 def _cmd_gen_standin(args) -> int:
     out = Path(args.out)
     if args.splits:
+        check_standin_sizes(args.queries, args.raw_dim)
         out.mkdir(parents=True, exist_ok=True)
         for i, name in enumerate(SPLIT_FILES):
             generate_standin_file(out / name, n_queries=args.queries,

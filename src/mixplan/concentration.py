@@ -350,7 +350,7 @@ def sandwich_check(instance: BanditInstance, config: ExperimentConfig, trials: i
         rng_offline, rng_online, rng_mc = (
             np.random.default_rng(s) for s in child.spawn(3)
         )
-        contexts = [instance.context_sampler(rng_offline) for _ in range(config.M)]
+        contexts = instance.draw_contexts(rng_offline, config.M)
         policy, _ = plan(contexts, config)
 
         chosen = policy.features
@@ -361,7 +361,7 @@ def sandwich_check(instance: BanditInstance, config: ExperimentConfig, trials: i
         for k, snap in enumerate(policy.snapshots):
             # Choosing actions draws no randomness, so drawing the contexts
             # first leaves the stream as it was.
-            contexts = [instance.context_sampler(rng_mc) for _ in range(n_expectation_contexts)]
+            contexts = instance.draw_contexts(rng_mc, n_expectation_contexts)
             expected = np.zeros((instance.d, instance.d))
             _add_outer_products(expected, _greedy_block(snap, contexts)[2], 1.0)
             expected /= n_expectation_contexts
@@ -438,7 +438,7 @@ def verify_lemmas(seed: int = 0, coverage_trials: int = 4000, sandwich_trials: i
         instance = make_random_unit_instance(d, n_actions=5, seed=int(rng.integers(2**31)))
         config = ExperimentConfig(M=M, N=M, lambda_reg=lam, alpha=1.0)
         stream_rng = np.random.default_rng(int(rng.integers(2**31)))
-        contexts = [instance.context_sampler(stream_rng) for _ in range(M)]
+        contexts = instance.draw_contexts(stream_rng, M)
         policy, _ = plan(contexts, config)
         check = potential_check(math.sqrt(config.alpha) * policy.features, lam)
         potential_failures += 0 if check.passed else 1

@@ -8,10 +8,28 @@ construction and safe to share across threads, with two exceptions:
 ``environments.make_rank_instance``, whose stream advances a hidden cursor.
 Random generators are always passed in explicitly and owned by the caller,
 never stored.
+
+Contexts drawn many at a time come as a ``ContextBatch``: their ids and one
+stacked (n, A, d) feature array. An instance's ``ContextLaw`` splits its
+context law in two: the generator calls of each context, made one context
+after another in stream order, and one vectorised step that builds the
+batch from them. ``BanditInstance.draw_contexts`` is bit for bit n
+``context_sampler`` calls; an instance without a law stacks the results of
+its ``context_sampler`` calls.
+
+The reward contract: the reward of action a in a context is
+``reward_fn(context, a, rng)``, which draws nothing (recorded relevance
+labels, say), or the inner product of the action's feature row with
+theta_star, computed one row at a time, plus noise_std times one standard
+normal from the stream (none is drawn when noise_std = 0). Nothing about a
+reward depends on an earlier draw, so a caller may draw a run of contexts
+and their normals first and compute the rewards afterwards
+(``BanditInstance.rewards``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -75,8 +93,129 @@ class Context:
         return self.features.shape[1]
 
 
+def _context_view(context_id: str, features: np.ndarray) -> Context:
+    """A context over rows that are already read-only and checked (a batch's)."""
+    context = object.__new__(Context)
+    object.__setattr__(context, "context_id", context_id)
+    object.__setattr__(context, "features", features)
+    return context
+
+
+class ContextBatch(Sequence):
+    """Contexts with one action count, stacked: their ids and one read-only
+    (n, A, d) feature array whose entry i holds context i's feature rows.
+
+    It is a sequence of contexts: an index gives a ``Context`` that shares
+    its rows with the batch; a slice or an integer index array gives a
+    ``ContextBatch``. The feature array is taken over, not copied, and
+    frozen.
+    """
+
+    __slots__ = ("ids", "features")
+
+    def __init__(self, ids: Sequence[str], features: np.ndarray):
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 3 or features.shape[1] < 1:
+            raise ContractViolation(
+                "a context batch needs an (n, n_actions, d) feature array with at least one action")
+        if len(ids) != len(features):
+            raise ContractViolation(f"{len(ids)} context ids for {len(features)} contexts")
+        if not np.isfinite(features).all():
+            raise ContractViolation("context batch has a non-finite feature row")
+        features.setflags(write=False)
+        self.ids = list(ids)
+        self.features = features
+
+    @property
+    def n_actions(self) -> int:
+        return self.features.shape[1]
+
+    @property
+    def d(self) -> int:
+        return self.features.shape[2]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return _context_view(self.ids[index], self.features[index])
+        if isinstance(index, slice):
+            return ContextBatch(self.ids[index], self.features[index])
+        index = np.asarray(index, dtype=np.intp)
+        return ContextBatch([self.ids[i] for i in index.tolist()], self.features[index])
+
+
+def stack_contexts(contexts: Sequence[Context]) -> Sequence[Context]:
+    """``contexts`` as one ``ContextBatch`` when they share a feature shape,
+    otherwise as a list."""
+    contexts = list(contexts)
+    if len({context.features.shape for context in contexts}) != 1:
+        return contexts
+    return ContextBatch([context.context_id for context in contexts],
+                        np.stack([context.features for context in contexts]))
+
+
+def context_ids(contexts: Sequence[Context]) -> list:
+    """The id of each context, in order."""
+    if isinstance(contexts, ContextBatch):
+        return contexts.ids
+    return [context.context_id for context in contexts]
+
+
+def action_counts(contexts: Sequence[Context]) -> np.ndarray:
+    """The action count of each context, in order."""
+    if isinstance(contexts, ContextBatch):
+        return np.full(len(contexts), contexts.n_actions)
+    return np.array([context.n_actions for context in contexts], dtype=np.int64)
+
+
+def feature_rows(contexts: Sequence[Context], actions=None) -> np.ndarray:
+    """The feature row of ``actions[i]`` in context i, for every i, as an
+    (n, d) array; with ``actions`` None, every row of every context, in
+    context then action order."""
+    if isinstance(contexts, ContextBatch):
+        if actions is None:
+            return contexts.features.reshape(-1, contexts.d)
+        return contexts.features[np.arange(len(contexts)), actions]
+    if actions is None:
+        return np.concatenate([context.features for context in contexts])
+    return np.array([context.features[a] for context, a in zip(contexts, actions)])
+
+
 RewardFn = Callable[[Context, int, np.random.Generator], float]
 ContextSampler = Callable[[np.random.Generator], Context]
+
+
+@dataclass(frozen=True)
+class ContextLaw:
+    """A context law in two parts.
+
+    ``draw(rng, n)`` makes the generator calls of n contexts, one context
+    after another in stream order, and returns what each context drew, as a
+    sequence of n draws. ``build(draws)`` turns the draws of any number of
+    contexts into those contexts in one vectorised step: a ``ContextBatch``,
+    or a list when their action counts differ. ``n_actions(draw)`` is the
+    action count of the context that one draw makes.
+    """
+
+    draw: Callable[[np.random.Generator, int], Sequence]
+    build: Callable[[Sequence], Sequence[Context]]
+    n_actions: Callable[[object], int]
+
+    @classmethod
+    def of_sampler(cls, context_sampler: ContextSampler) -> "ContextLaw":
+        """The law of a plain sampler: each draw is one ``context_sampler``
+        call, and the batch stacks the contexts it returned."""
+        return cls(
+            draw=lambda rng, n: [context_sampler(rng) for _ in range(n)],
+            build=stack_contexts,
+            n_actions=lambda context: context.n_actions,
+        )
+
+    def sample(self, rng: np.random.Generator) -> Context:
+        """One context: the one-context case of ``build(draw(rng, n))``."""
+        return self.build(self.draw(rng, 1))[0]
 
 
 @dataclass(frozen=True)
@@ -84,22 +223,31 @@ class BanditInstance:
     """Ground truth for simulation: dimension, reward model, context law.
 
     ``theta_star`` may be None for data-driven instances whose rewards come
-    from ``reward_fn`` instead (e.g. recorded relevance labels). Such
+    from ``reward_fn`` instead (e.g. recorded relevance labels); a
+    ``reward_fn`` must draw nothing from the generator it is handed. Such
     instances run through the full pipeline, but value and suboptimality
     evaluation against theta_star is unavailable for them.
+
+    The context law is ``context_law`` when given, and ``context_sampler``
+    is then its one-context case; otherwise it is ``context_sampler`` alone.
     """
 
     d: int
     theta_star: Optional[np.ndarray]
-    context_sampler: ContextSampler
+    context_sampler: Optional[ContextSampler] = None
     noise_std: float = 1.0
     reward_fn: Optional[RewardFn] = None
+    context_law: Optional[ContextLaw] = None
 
     def __post_init__(self):
         if self.d < 1:
             raise ConfigurationError("dimension must be at least 1")
         if self.noise_std < 0:
             raise ConfigurationError("noise_std must be nonnegative")
+        if self.context_sampler is None:
+            if self.context_law is None:
+                raise ConfigurationError("instance needs a context_sampler or a context_law")
+            object.__setattr__(self, "context_sampler", self.context_law.sample)
         if self.theta_star is not None:
             theta = np.asarray(self.theta_star, dtype=np.float64)
             if theta.shape != (self.d,):
@@ -126,6 +274,54 @@ class BanditInstance:
         if self.noise_std == 0.0:
             return mean
         return mean + self.noise_std * float(rng.standard_normal())
+
+    @property
+    def law(self) -> ContextLaw:
+        """The context law: ``context_law``, or that of ``context_sampler``."""
+        if self.context_law is not None:
+            return self.context_law
+        return ContextLaw.of_sampler(self.context_sampler)
+
+    @property
+    def noisy(self) -> bool:
+        """Whether each reward draws a standard normal (linear rewards, noise_std > 0)."""
+        return self.reward_fn is None and self.noise_std != 0.0
+
+    def build_contexts(self, draws: Sequence) -> Sequence[Context]:
+        """The contexts of a run of the law's draws, checked against the
+        instance dimension."""
+        contexts = self.law.build(draws)
+        dims = {contexts.d} if isinstance(contexts, ContextBatch) else {c.d for c in contexts}
+        if dims - {self.d}:
+            raise ContractViolation("context dimension does not match the instance")
+        return contexts
+
+    def draw_contexts(self, rng: np.random.Generator, n: int) -> Sequence[Context]:
+        """The next n contexts of the stream: a ``ContextBatch`` (a list when
+        their action counts differ), bit for bit the contexts of n
+        ``context_sampler`` calls, with the generator left in the same
+        state."""
+        if n < 1:
+            raise ConfigurationError(f"need at least one context, got {n}")
+        return self.build_contexts(self.law.draw(rng, n))
+
+    def rewards(self, contexts: Sequence[Context], actions, normals: Optional[np.ndarray],
+                rng: np.random.Generator) -> np.ndarray:
+        """``reward`` of ``actions[i]`` in context i for every i, or with
+        ``actions`` None of every action of every context (context, then
+        action order). ``normals`` holds each reward's standard normal, drawn
+        by the caller in stream order, when the instance is ``noisy``, and is
+        None otherwise."""
+        if self.reward_fn is not None:
+            if actions is None:
+                pairs = ((c, a) for c in contexts for a in range(c.n_actions))
+            else:
+                pairs = zip(contexts, actions)
+            return np.array([self.reward_fn(c, int(a), rng) for c, a in pairs], dtype=np.float64)
+        # A stack of (1, d) rows takes one dot product per row, bit for bit
+        # as row @ theta_star; an (n, d) matrix product rounds differently.
+        means = (feature_rows(contexts, actions)[:, None, :] @ self.theta_star)[:, 0]
+        return means if normals is None else means + self.noise_std * np.asarray(normals)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from ._lapack import dtrtrs
-from .core import ConfigurationError, Context, ContractViolation
+from .core import ConfigurationError, Context, ContextBatch, ContractViolation
 
 #: Absolute slack on the feature-norm gate.
 NORM_TOLERANCE = 1e-9
@@ -101,8 +101,16 @@ def _context_blocks(contexts: Sequence[Context], d: int):
     ``position`` says where the block's contexts sit in ``contexts``: a
     slice when all contexts have one action count (every block is then a
     contiguous run, and no per-context grouping is needed), otherwise an
-    index array.
+    index array. The blocks of a ``ContextBatch`` are views of its features.
     """
+    if isinstance(contexts, ContextBatch):
+        if contexts.d != d:
+            raise ContractViolation(f"context dimension {contexts.d} != {d}")
+        step = max(1, _BLOCK_FLOATS // (contexts.n_actions * d))
+        for start in range(0, len(contexts), step):
+            feats = contexts.features[start:start + step]
+            yield slice(start, start + len(feats)), feats
+        return
     shapes = {context.features.shape for context in contexts}
     if len(shapes) == 1:
         ((n_actions, context_d),) = shapes

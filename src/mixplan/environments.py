@@ -11,6 +11,12 @@ testable without the licensed dataset.
 Feature indices in ranking files are 1-based on disk (the usual sparse
 convention) and 0-based everywhere in memory. Generators are pure given
 their seed; parsers are pure given the file bytes.
+
+The synthetic, random-unit and non-concentrating instances carry a
+``ContextLaw``: the generator calls of each context, then one vectorised
+step that builds a ``ContextBatch``; their ``context_sampler`` is the law's
+one-context case. The two other hard instances and the ranking stream are
+plain samplers, whose batches stack the sampled contexts.
 """
 
 from __future__ import annotations
@@ -27,8 +33,11 @@ from .core import (
     BanditInstance,
     ConfigurationError,
     Context,
+    ContextBatch,
+    ContextLaw,
     DataError,
     ParseError,
+    stack_contexts,
 )
 
 # Constants of the category-structured synthetic instance. A spiked row has
@@ -75,36 +84,47 @@ def make_synthetic(seed: int) -> BanditInstance:
     high-variance shared direction is worthless. Feature norms are
     unbounded (Gaussian spikes), so planner runs on this instance must
     relax the unit-norm gate.
+
+    A context draws its category, then d + 1 standard normals for each of
+    its five spiked rows (own action, two extras, two shared): d for the
+    floor, one for the spike. A spiked row is ``floor_std`` times its floor
+    normals with ``std`` times the spike normal at its spike coordinate, as
+    ``rng.normal(0, s)`` computes ``0 + s * z``. Last comes the id.
     """
     d = _SYNTHETIC_D
     rng0 = np.random.default_rng(seed)
     theta = np.concatenate([rng0.choice([-1.0, 1.0], size=d - 1), [0.0]])
     layout = synthetic_action_layout()
+    spiked = [[layout[c]["own"], *layout[c]["extras"], *layout[c]["shared"]]
+              for c in range(_SYNTHETIC_CATEGORIES)]
+    row_actions = np.array([[action for action, _ in rows] for rows in spiked])
+    row_coords = np.array([[coord for _, coord in rows] for rows in spiked])
+    n_rows = row_actions.shape[1]
     floor_std = math.sqrt(_FLOOR_VARIANCE)
-    spike_std = math.sqrt(_SPIKE_VARIANCE)
-    shared_std = math.sqrt(_SHARED_ACTION_VARIANCE)
+    spike_stds = np.array([math.sqrt(_SPIKE_VARIANCE)] * 3
+                          + [math.sqrt(_SHARED_ACTION_VARIANCE)] * 2)
 
-    def sample_context(rng: np.random.Generator) -> Context:
-        category = int(rng.integers(_SYNTHETIC_CATEGORIES))
-        feats = np.zeros((_SYNTHETIC_ACTIONS, d))
+    def draw(rng: np.random.Generator, n: int) -> list:
+        return [(rng.integers(_SYNTHETIC_CATEGORIES), rng.standard_normal(n_rows * (d + 1)),
+                 rng.integers(2**62)) for _ in range(n)]
 
-        def spiked_row(coord: int, std: float) -> np.ndarray:
-            row = rng.normal(0.0, floor_std, size=d)
-            row[coord] = rng.normal(0.0, std)
-            return row
+    def build(draws) -> ContextBatch:
+        n = len(draws)
+        categories = np.array([category for category, _, _ in draws])
+        normals = np.stack([z for _, z, _ in draws]).reshape(n, n_rows, d + 1)
+        steps, actions = np.arange(n)[:, None], row_actions[categories]
+        features = np.zeros((n, _SYNTHETIC_ACTIONS, d))
+        features[steps, actions] = normals[:, :, :d]
+        # Scaled in place; + 0.0 keeps the sign numpy's 0 + s * z gives a
+        # zero product (and leaves the zero rows as they are).
+        features *= floor_std
+        features += 0.0
+        features[steps, actions, row_coords[categories]] = normals[:, :, d] * spike_stds + 0.0
+        ids = [f"c{int(category)}-{int(tag):016x}" for category, _, tag in draws]
+        return ContextBatch(ids, features)
 
-        own_action, own_coord = layout[category]["own"]
-        feats[own_action] = spiked_row(own_coord, spike_std)
-        for action, coord in layout[category]["extras"]:
-            feats[action] = spiked_row(coord, spike_std)
-        for action, coord in layout[category]["shared"]:
-            feats[action] = spiked_row(coord, shared_std)
-        context_id = f"c{category}-{int(rng.integers(2**62)):016x}"
-        return Context(context_id, feats)
-
-    return BanditInstance(
-        d=d, theta_star=theta, context_sampler=sample_context, noise_std=1.0
-    )
+    law = ContextLaw(draw=draw, build=build, n_actions=lambda draw: _SYNTHETIC_ACTIONS)
+    return BanditInstance(d=d, theta_star=theta, context_law=law, noise_std=1.0)
 
 
 def make_hard_uniform(A: int) -> BanditInstance:
@@ -181,16 +201,18 @@ def make_hard_nonconcentrating(d: int, M: int) -> BanditInstance:
     probs = np.full(d, (1.0 - 1.0 / (d * M)) / (d - 1))
     probs[0] = 1.0 / (d * M)
     # The draw rng.choice(d, p=probs) makes, without its per-call checks:
-    # one uniform looked up in the normalized cumulative distribution.
+    # one uniform looked up in the normalized cumulative distribution. The
+    # uniforms of n contexts are one rng.random(n) call.
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     theta = np.ones(d) / math.sqrt(d)
-    return BanditInstance(
-        d=d,
-        theta_star=theta,
-        context_sampler=lambda rng: contexts[int(cdf.searchsorted(rng.random(), side="right"))],
-        noise_std=1.0,
+    law = ContextLaw(
+        draw=lambda rng, n: rng.random(n),
+        build=lambda draws: stack_contexts(
+            [contexts[i] for i in cdf.searchsorted(draws, side="right").tolist()]),
+        n_actions=lambda u: contexts[int(cdf.searchsorted(u, side="right"))].n_actions,
     )
+    return BanditInstance(d=d, theta_star=theta, context_law=law, noise_std=1.0)
 
 
 def make_random_unit_instance(d: int, n_actions: int, seed: int = 0) -> BanditInstance:
@@ -205,16 +227,20 @@ def make_random_unit_instance(d: int, n_actions: int, seed: int = 0) -> BanditIn
     theta = rng0.normal(size=d)
     theta /= max(1.0, float(np.linalg.norm(theta)))
 
-    def sample_context(rng: np.random.Generator) -> Context:
-        directions = rng.normal(size=(n_actions, d))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        radii = rng.uniform(0.0, 1.0, size=(n_actions, 1))
-        context_id = f"u-{int(rng.integers(2**62)):016x}"
-        return Context(context_id, directions * radii)
+    def draw(rng: np.random.Generator, n: int) -> list:
+        return [(rng.normal(size=(n_actions, d)), rng.uniform(0.0, 1.0, size=(n_actions, 1)),
+                 rng.integers(2**62)) for _ in range(n)]
 
-    return BanditInstance(
-        d=d, theta_star=theta, context_sampler=sample_context, noise_std=1.0
-    )
+    def build(draws) -> ContextBatch:
+        features = np.empty((len(draws), n_actions, d))
+        # Normalized one context at a time: a whole batch at once was slower.
+        for out, (directions, radii, _) in zip(features, draws):
+            np.divide(directions, np.linalg.norm(directions, axis=1, keepdims=True), out=out)
+            out *= radii
+        return ContextBatch([f"u-{int(tag):016x}" for _, _, tag in draws], features)
+
+    law = ContextLaw(draw=draw, build=build, n_actions=lambda draw: n_actions)
+    return BanditInstance(d=d, theta_star=theta, context_law=law, noise_std=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -451,16 +477,21 @@ _STANDIN_MAX_DOCS = 35
 _STANDIN_DENSITY = 0.02
 
 
+def check_standin_sizes(n_queries: int, raw_dim: int) -> None:
+    """Raise ConfigurationError unless ``generate_standin_file`` takes these sizes."""
+    if n_queries < 1:
+        raise ConfigurationError("need at least one query")
+    if raw_dim < 1:
+        raise ConfigurationError(f"raw_dim must be at least 1, got {raw_dim}")
+
+
 def generate_standin_file(path, n_queries: int, seed: int, raw_dim: int = 700) -> Path:
     """Emit a synthetic ranking file in the sparse interchange format.
 
     Relevance labels are a quantized noisy linear function of the features,
     so extracted policies have signal to find. Deterministic given the seed.
     """
-    if n_queries < 1:
-        raise ConfigurationError("need at least one query")
-    if raw_dim < 1:
-        raise ConfigurationError(f"raw_dim must be at least 1, got {raw_dim}")
+    check_standin_sizes(n_queries, raw_dim)
     rng = np.random.default_rng(seed)
     weights = rng.normal(0.0, 1.0, size=raw_dim)
     scale = math.sqrt(max(1.0, raw_dim * _STANDIN_DENSITY))

@@ -49,6 +49,7 @@ from .baselines import (
 from .core import (
     BanditInstance,
     ConfigurationError,
+    Context,
     ExperimentConfig,
     InteractionDataset,
 )
@@ -186,7 +187,7 @@ class _TrialEnv:
     """Per-trial materialized environment."""
 
     instance: BanditInstance
-    offline_contexts: list
+    offline_contexts: Sequence[Context]
     horizon: int
     norm_cap: Optional[float]
     evaluate_estimate: Callable[[RidgeEstimate], EvaluationReport]
@@ -197,10 +198,9 @@ def _linear_env(instance: BanditInstance, config: RunConfig, seeds) -> _TrialEnv
     _, s_offline, _, _, s_eval = seeds
     offline_rng = np.random.default_rng(s_offline)
     eval_rng = np.random.default_rng(s_eval)
-    offline_contexts = [instance.context_sampler(offline_rng) for _ in range(config.M)]
-    eval_set = EvaluationSet(
-        [instance.context_sampler(eval_rng) for _ in range(config.eval_set_size)],
-        theta_star=instance.theta_star)
+    offline_contexts = instance.draw_contexts(offline_rng, config.M)
+    eval_set = EvaluationSet(instance.draw_contexts(eval_rng, config.eval_set_size),
+                             theta_star=instance.theta_star)
 
     norm_cap = None if config.environment == "synthetic" else 1.0
     return _TrialEnv(

@@ -48,14 +48,13 @@ in that regime (the planner itself still runs fine).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .artifact import read_artifact, scalar, write_artifact
-from .core import ConfigurationError, Context, ContractViolation, ExperimentConfig
+from .core import ConfigurationError, Context, ContextBatch, ContractViolation, ExperimentConfig
 from .covariance import CovarianceSnapshot, RegularizedCovariance, _block_rows, _context_blocks
 
 ARTIFACT_FORMAT = "mixture-policy"
@@ -196,11 +195,35 @@ class MixturePolicy:
         norms = snap.mahalanobis_rows(context.features)
         return int(np.argmax(norms))
 
+    def draw(self, rng: np.random.Generator, n_actions) -> np.ndarray:
+        """The policy's draws for contexts with these action counts: one
+        step index m, uniform on [1, M], per context (one ``integers`` call
+        gives the values and generator state of one call per context)."""
+        return rng.integers(1, self.M + 1, size=len(n_actions))
+
+    def decide(self, contexts: Sequence[Context], draws: np.ndarray) -> np.ndarray:
+        """Act on context i with the snapshot of step ``draws[i]``'s phase.
+
+        The contexts are grouped by phase, and ``_greedy_block`` chooses each
+        group's actions, bit for bit as ``snapshot_action`` per context.
+        """
+        phases = np.searchsorted(self.phase_starts, draws, side="right") - 1
+        if len(contexts) == 1:
+            return _greedy_block(self.snapshots[phases[0]], contexts)[0]
+        order = np.argsort(phases, kind="stable")
+        actions = np.empty(len(contexts), dtype=np.int64)
+        for steps in np.split(order, np.flatnonzero(np.diff(phases[order])) + 1):
+            group = (contexts[steps] if isinstance(contexts, ContextBatch)
+                     else [contexts[i] for i in steps.tolist()])
+            actions[steps] = _greedy_block(self.snapshots[phases[steps[0]]], group)[0]
+        return actions
+
     def action(self, context: Context, rng: np.random.Generator) -> int:
-        """Draw m uniformly from [1, M], act with the snapshot of m's phase."""
-        m = int(rng.integers(1, self.M + 1))
-        phase = bisect_right(self.phase_starts, m) - 1
-        return self.snapshot_action(phase, context)
+        """Draw m uniformly from [1, M], act with the snapshot of m's phase:
+        ``decide`` on this one context."""
+        if context.d != self.d:
+            raise ContractViolation(f"context dimension {context.d} != policy dimension {self.d}")
+        return int(self.decide([context], self.draw(rng, [context.n_actions]))[0])
 
     def save(self, path) -> None:
         """Write the version-2 ``.npz`` artifact to exactly ``path``."""

@@ -2,8 +2,12 @@
 
 The sampler never touches the policy's internals and the policy object has
 no update surface, so non-reactivity holds by construction. The mixture
-index is redrawn independently for every context. Datasets serialize to a
-CSV interchange format and to a compact npz binary form.
+index is redrawn independently for every context. Because no action
+changes what the generator draws next, ``sample`` draws a run of steps
+first and decides them afterwards: the contexts are built as one batch,
+the policy picks all their actions at once, and the rewards are computed
+from the normals drawn in stream order. Datasets serialize to a CSV
+interchange format and to a compact npz binary form.
 """
 
 from __future__ import annotations
@@ -20,17 +24,33 @@ from .core import (
     DataError,
     InteractionDataset,
     InteractionRecord,
+    action_counts,
+    context_ids,
+    feature_rows,
 )
+
+
+#: Stacked feature floats one run of ``sample`` steps holds (2**16 float64,
+#: 512 KiB). Runs of 2**18 floats were 10 % faster at d = 300 but raised
+#: a synthetic trial's peak memory by about 2 MB.
+_RUN_FLOATS = 1 << 16
 
 
 def sample(policy, instance: BanditInstance, N: int, rng: np.random.Generator, *,
            policy_rng: np.random.Generator | None = None) -> InteractionDataset:
     """Collect N records by running ``policy`` on the instance's context stream.
 
-    ``policy`` is anything with an ``action(context, rng) -> int`` method
-    (a MixturePolicy or any of the baselines). Contexts and rewards are drawn
-    from ``rng``; the policy's own draws come from ``policy_rng``, which
-    defaults to ``rng``.
+    ``policy`` is a MixturePolicy or any of the baselines: anything with
+    ``draw(rng, n_actions)``, its own draws for contexts with those action
+    counts, and ``decide(contexts, draws)``, their actions. Contexts and
+    rewards are drawn from ``rng``; the policy's own draws come from
+    ``policy_rng``, which defaults to ``rng``.
+
+    The steps are taken in runs. A run first makes the generator calls of
+    its steps in stream order (each context's draws, the policy's draw when
+    it shares ``rng``, the reward's normal), then builds the contexts,
+    decides their actions and computes their rewards. No action changes a
+    draw, so the records are bit for bit those of one context at a time.
     """
     if policy_rng is None:
         policy_rng = rng
@@ -41,22 +61,47 @@ def sample(policy, instance: BanditInstance, N: int, rng: np.random.Generator, *
         raise ContractViolation(
             f"policy dimension {policy_d} != instance dimension {instance.d}"
         )
+    shared = policy_rng is rng
     dataset = InteractionDataset(instance.d)
-    for _ in range(N):
-        context = instance.context_sampler(rng)
-        if context.d != instance.d:
-            raise ContractViolation("context dimension does not match the instance")
-        a = policy.action(context, policy_rng)
-        reward = instance.reward(context, a, rng)
-        dataset.append(
-            InteractionRecord(
-                context_id=context.context_id,
-                action_index=a,
-                feature=context.features[a],
-                reward=reward,
-            )
-        )
+    done = 0
+    while done < N:
+        contexts, policy_draws, normals = _draw_run(policy, instance, N - done, rng, shared)
+        done += len(contexts)
+        if not shared:
+            policy_draws = policy.draw(policy_rng, action_counts(contexts))
+        actions = policy.decide(contexts, policy_draws)
+        rewards = instance.rewards(contexts, actions, normals, rng)
+        for context_id, a, feature, reward in zip(
+                context_ids(contexts), actions.tolist(), feature_rows(contexts, actions),
+                rewards.tolist()):
+            dataset.append(InteractionRecord(context_id=context_id, action_index=a,
+                                             feature=feature, reward=reward))
     return dataset
+
+
+def _draw_run(policy, instance: BanditInstance, most: int, rng: np.random.Generator,
+              shared: bool):
+    """The generator calls of the next run of at most ``most`` steps, in
+    stream order, and what they make: the run's contexts, the policy's draws
+    (when it shares ``rng``; else None) and the rewards' normals (None when
+    the instance draws none). A run ends once its contexts hold
+    ``_RUN_FLOATS`` feature floats."""
+    law, noisy = instance.law, instance.noisy
+    draws, policy_draws, normals = [], [], []
+    floats = 0
+    while len(draws) < most and floats < _RUN_FLOATS:
+        draws.extend(law.draw(rng, 1))
+        n_actions = law.n_actions(draws[-1])
+        if shared:
+            policy_draws.append(policy.draw(rng, [n_actions]))
+        if noisy:
+            normals.append(rng.standard_normal())
+        floats += n_actions * instance.d
+    if not shared or policy_draws[0] is None:
+        policy_draws = None
+    else:
+        policy_draws = np.concatenate(policy_draws)
+    return instance.build_contexts(draws), policy_draws, (normals if noisy else None)
 
 
 def _float_repr(value: float) -> str:

@@ -626,3 +626,18 @@ def test_cli_gen_standin_splits_feed_ingest(tmp_path):
                      "--subsampled-dim", "10", "--out", str(summary_path)]) == 0
     summary = json.loads(summary_path.read_text())
     assert summary["n_train"] > 0 and summary["n_valid"] > 0 and summary["n_test"] > 0
+
+
+@pytest.mark.parametrize("sizes, message", [
+    (["--raw-dim", "0"], "raw_dim must be at least 1"),
+    (["--queries", "0"], "need at least one query"),
+], ids=["raw-dim-0", "queries-0"])
+def test_cli_gen_standin_splits_rejects_bad_sizes_without_a_directory(tmp_path, capsys, sizes,
+                                                                      message):
+    # The sizes are checked before the split directory is made, so a refused
+    # run leaves nothing behind.
+    directory = tmp_path / "splits"
+    assert cli_main(["gen-standin", "--splits", "--out", str(directory)] + sizes) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not directory.exists()
