@@ -82,6 +82,14 @@ class SingleActionPolicy:
         return int(self.decide([context], self.draw(rng, [context.n_actions]))[0])
 
 
+def _grown(buffer: np.ndarray, rows: int, size: int) -> np.ndarray:
+    """A buffer of ``size`` rows whose first ``rows`` are those of ``buffer``;
+    the rest is left unwritten, so its pages are not touched yet."""
+    grown = np.empty((size, *buffer.shape[1:]))
+    grown[:rows] = buffer[:rows]
+    return grown
+
+
 def oracle_fits(instance: BanditInstance, points: Sequence[int], lambda_reg: float,
                 rng: np.random.Generator) -> Iterator[RidgeEstimate]:
     """The full-feedback supervised oracle: for each n in ``points``
@@ -94,11 +102,15 @@ def oracle_fits(instance: BanditInstance, points: Sequence[int], lambda_reg: flo
     made (``BanditInstance.rewards``), and each fit equals ``ridge_fit`` on
     the exploded dataset so far, one row per (context, action). It is an
     approximate upper bound for the bandit-feedback strategies.
+
+    The rows are appended to one growing buffer, and each point fits a
+    prefix view of it. A buffer that runs out is sized for the last point
+    at the rows per context seen so far (and at least doubled), so the
+    rows are copied a bounded number of times, not once per point.
     """
     law, noisy = instance.law, instance.noisy
-    blocks = [np.zeros((0, instance.d))]
-    rewards = [np.zeros(0)]
-    seen = 0
+    features, rewards = np.empty((0, instance.d)), np.empty(0)
+    rows = seen = 0
     for n in points:
         if n > seen:
             draws, normals = [], []
@@ -107,8 +119,14 @@ def oracle_fits(instance: BanditInstance, points: Sequence[int], lambda_reg: flo
                 if noisy:
                     normals.append(rng.standard_normal(law.n_actions(draws[-1])))
             contexts = instance.build_contexts(draws)
-            blocks.append(feature_rows(contexts))
-            rewards.append(instance.rewards(
-                contexts, None, np.concatenate(normals) if normals else None, rng))
+            block = feature_rows(contexts)
+            end = rows + len(block)
+            if end > len(features):
+                size = max(end * points[-1] // n, 2 * len(features), end)
+                features, rewards = _grown(features, rows, size), _grown(rewards, rows, size)
+            features[rows:end] = block
+            rewards[rows:end] = instance.rewards(
+                contexts, None, np.concatenate(normals) if normals else None, rng)
+            rows = end
         seen = n
-        yield ridge_fit_arrays(np.vstack(blocks), np.concatenate(rewards), lambda_reg)
+        yield ridge_fit_arrays(features[:rows], rewards[:rows], lambda_reg)

@@ -28,7 +28,9 @@ take the snapshots that an exact test at every step would take.
 
 Triangular solves call LAPACK ``dtrtrs`` from ``mixplan._lapack``, SciPy's
 compiled LAPACK loaded without importing ``scipy.linalg``; factorizations
-use ``np.linalg.cholesky``.
+use ``np.linalg.cholesky``. The planner and the evaluation score blocks of
+contexts through one kernel, ``_block_norms``, which keeps the rounding of
+one solve per context and can skip a block's all-zero rows (``_live_rows``).
 
 ``RegularizedCovariance`` is single-writer; hand out ``CovarianceSnapshot``
 objects (immutable) for concurrent readers.
@@ -133,6 +135,53 @@ def _context_blocks(contexts: Sequence[Context], d: int):
         for start in range(0, len(indices), step):
             block = indices[start:start + step]
             yield np.array(block, dtype=np.intp), np.stack([contexts[i].features for i in block])
+
+
+def _live_rows(feats: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows of a (g, A, d) block that ``_block_norms`` solves on their
+    own: the flat indices of the rows that are not all zero and a read-only
+    copy of those rows. None when the block is better solved in full.
+
+    The copy is kept only when the live rows are no more than the zero rows
+    (five of the ten of every synthetic context): it then holds no more
+    memory than the rows it skips and saves at least half of the solve. A
+    block with a few zero rows would copy nearly all of itself to skip
+    them. Single-action blocks and blocks with fewer than two live rows are
+    solved in full as well (see ``_block_norms``).
+    """
+    g, n_actions, d = feats.shape
+    flat = feats.reshape(g * n_actions, d)
+    live = np.flatnonzero(flat.any(axis=1))
+    if n_actions == 1 or len(live) < 2 or 2 * len(live) > len(flat):
+        return None
+    rows = flat[live]
+    rows.setflags(write=False)
+    return live, rows
+
+
+def _block_norms(source, feats: np.ndarray,
+                 live: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """The (g, A) norms of a (g, A, d) block of contexts' feature rows
+    against ``source`` (a snapshot or a covariance), bit for bit as one
+    ``source.mahalanobis_rows(context.features)`` per context.
+
+    Each column of a triangular solve rounds the same whatever else the
+    solve holds, as long as it holds two or more columns; a one-column solve
+    takes another BLAS path and its last bits differ. So the whole block is
+    one solve, and single-action contexts keep one solve each. ``live``
+    (``_live_rows``, two or more rows) names the rows to solve; the others
+    are all zero, whose solve is ±0 and whose norm is 0.0, so they are
+    written as 0.0.
+    """
+    g, n_actions, d = feats.shape
+    if n_actions == 1:
+        return np.array([source.mahalanobis_rows(rows) for rows in feats])
+    if live is None:
+        return source.mahalanobis_rows(feats.reshape(g * n_actions, d)).reshape(g, n_actions)
+    index, rows = live
+    norms = np.zeros(g * n_actions)
+    norms[index] = source.mahalanobis_rows(rows)
+    return norms.reshape(g, n_actions)
 
 
 def _mahalanobis_rows(chol_lower: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -21,9 +21,16 @@ finiteness) and their maximum. The harness builds one set per trial and
 evaluates every estimate on it; ``evaluate`` also takes a plain list of
 contexts, stacked on the spot one block at a time (so no more than one block
 is held at once), while ``evaluate_values`` takes only a set. Each evaluation
-takes one stacked score product and one triangular solve per block
-(contexts with a single action keep one solve each). Every output is
-bit-identical to scoring and solving one context at a time.
+takes one stacked score product and one triangular solve per block. Where
+at least half of a block's feature rows are all zero (five of the ten
+actions of every synthetic context), the set keeps a copy of the other,
+live, rows, made once when it is stacked; the solve then holds only those,
+and the zero rows' norm is written as 0.0, the value their solve gives. The
+solve rules live in one kernel, ``covariance._block_norms``, which the
+planner shares: a column of a solve rounds the same as long as the solve
+holds two or more columns, so a block left with a single live row is solved
+in full, and contexts with a single action keep one solve each. Every
+output is bit-identical to scoring and solving one context at a time.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from .core import (
     DataError,
     InteractionDataset,
 )
-from .covariance import RegularizedCovariance, _context_blocks
+from .covariance import RegularizedCovariance, _block_norms, _context_blocks, _live_rows
 
 
 @dataclass(frozen=True)
@@ -147,12 +154,15 @@ def greedy_action(estimate: RidgeEstimate, context: Context) -> int:
 class _EvalBlock(NamedTuple):
     """Contexts with one action count A, stacked: where they sit in the set
     (a slice or an index array), their (g, A, d) features, their (g, A)
-    true values and each context's best true value."""
+    true values, each context's best true value, and its live rows
+    (``covariance._live_rows``: the flat indices and a copy of the feature
+    rows that are not all zero, or None to solve the block in full)."""
 
     position: slice | np.ndarray
     features: np.ndarray
     true: np.ndarray
     best: np.ndarray
+    live: tuple[np.ndarray, np.ndarray] | None
 
 
 class EvaluationSet:
@@ -162,9 +172,11 @@ class EvaluationSet:
     given array per context (``true_values``: recorded relevance labels,
     say); exactly one of the two is passed. The contexts are grouped and
     stacked by ``covariance._context_blocks``, and each block keeps its
-    read-only features, its true values and their maximum. Evaluating an
-    estimate on the set then costs one score product, one argmax and one
-    triangular solve per block.
+    read-only features, its true values, their maximum and, when at least
+    half of its feature rows are all zero, a copy of the others (its live
+    rows). Evaluating an estimate on the set then costs one score product,
+    one argmax and one triangular solve per block, of the live rows where a
+    block keeps them.
     """
 
     __slots__ = ("d", "n", "theta_star", "blocks")
@@ -186,8 +198,9 @@ def _stack(contexts: Sequence[Context], theta_star: Optional[np.ndarray],
     """Check an evaluation set's inputs; return its dimension, its size and
     an iterator that stacks its blocks one at a time, as they are reached.
 
-    A block is one of ``_context_blocks``' with its true values: theta_star's
-    scores, or the given values, one finite (A,) array per context.
+    A block is one of ``_context_blocks``' with its true values (theta_star's
+    scores, or the given values, one finite (A,) array per context) and its
+    live rows.
     """
     if not contexts:
         raise ConfigurationError("evaluation context set is empty")
@@ -206,7 +219,7 @@ def _stack(contexts: Sequence[Context], theta_star: Optional[np.ndarray],
                                  for i in indices])
             feats.setflags(write=False)
             true.setflags(write=False)
-            yield _EvalBlock(position, feats, true, true.max(axis=1))
+            yield _EvalBlock(position, feats, true, true.max(axis=1), _live_rows(feats))
 
     return d, n, blocks()
 
@@ -266,21 +279,14 @@ def _evaluate_blocks(estimate: RidgeEstimate, d: int, n: int, blocks) -> Evaluat
     values = np.empty(n)
     uncertainties = np.empty(n)
     cov = estimate.sigma_prime_n
-    for position, feats, true, best in blocks:
-        g, n_actions, d = feats.shape
+    for position, feats, true, best, live in blocks:
         # A stacked product scores each (A, d) matrix on its own, bit for bit
         # like one context at a time; a flattened (g*A, d) product does not.
         chosen = np.argmax(feats @ estimate.theta_hat, axis=1)
-        picked = true[np.arange(g), chosen]
+        picked = true[np.arange(len(feats)), chosen]
         values[position] = picked
         gaps[position] = best - picked
-        if n_actions == 1:
-            # A one-column triangular solve takes another BLAS path than a
-            # column of a wider solve, and its last bits differ.
-            uncertainties[position] = [cov.mahalanobis_rows(rows)[0] for rows in feats]
-        else:
-            norms = cov.mahalanobis_rows(feats.reshape(g * n_actions, d))
-            uncertainties[position] = norms.reshape(g, n_actions).max(axis=1)
+        uncertainties[position] = _block_norms(cov, feats, live).max(axis=1)
     scale = math.sqrt(n) if n > 1 else 1.0
     return EvaluationReport(
         expected_max_uncertainty=float(uncertainties.mean()),

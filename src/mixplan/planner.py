@@ -55,7 +55,13 @@ import numpy as np
 
 from .artifact import read_artifact, scalar, write_artifact
 from .core import ConfigurationError, Context, ContextBatch, ContractViolation, ExperimentConfig
-from .covariance import CovarianceSnapshot, RegularizedCovariance, _block_rows, _context_blocks
+from .covariance import (
+    CovarianceSnapshot,
+    RegularizedCovariance,
+    _block_norms,
+    _block_rows,
+    _context_blocks,
+)
 
 ARTIFACT_FORMAT = "mixture-policy"
 ARTIFACT_VERSION = 2
@@ -116,12 +122,11 @@ def _greedy_block(snapshot: CovarianceSnapshot,
     ``MixturePolicy.snapshot_action`` picks it: the actions, their norms and
     their feature rows, in context order.
 
-    One solve covers each block of contexts with the same number of actions
-    (``_context_blocks``); each column of a solve rounds the same whatever
-    else it holds, as long as it holds two or more columns. A single-action
-    context keeps a solve of its own, because a one-column solve rounds
-    differently. A block of one context, every block at d = 300, is solved
-    directly: the grouping's bookkeeping made ``plan`` there 3-6 % slower.
+    Contexts with the same number of actions are grouped
+    (``_context_blocks``) and each group's norms come from ``_block_norms``,
+    which keeps the rounding of one solve per context. A block of one
+    context, every block at d = 300, is solved directly: the grouping's
+    bookkeeping made ``plan`` there 3-6 % slower.
     """
     if len(contexts) == 1:
         features = contexts[0].features
@@ -133,13 +138,9 @@ def _greedy_block(snapshot: CovarianceSnapshot,
     values = np.empty(n)
     rows = np.empty((n, snapshot.d))
     for block, feats in _context_blocks(contexts, snapshot.d):
-        g, n_actions, d = feats.shape
-        if n_actions == 1:
-            norms = np.array([snapshot.mahalanobis_rows(f) for f in feats])
-        else:
-            norms = snapshot.mahalanobis_rows(feats.reshape(g * n_actions, d)).reshape(g, n_actions)
+        norms = _block_norms(snapshot, feats)
         chosen = np.argmax(norms, axis=1)
-        picked = np.arange(g)
+        picked = np.arange(len(feats))
         actions[block] = chosen
         values[block] = norms[picked, chosen]
         rows[block] = feats[picked, chosen]

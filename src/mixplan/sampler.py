@@ -13,6 +13,7 @@ interchange format and to a compact npz binary form.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -109,21 +110,27 @@ def _float_repr(value: float) -> str:
 
 
 def dataset_to_csv(dataset: InteractionDataset, path) -> None:
-    """Write the interchange CSV: context_id, action_index, d feature columns, reward."""
+    """Write the interchange CSV: context_id, action_index, d feature columns, reward.
+
+    The bytes are those of ``csv.writer`` with its default dialect: a float
+    is written as its repr, the text ``_float_repr`` gives, and every line
+    ends in CR LF. Each row's context id and action index go through one
+    reused ``csv.writer``, which quotes the id where it must; the float
+    columns of a row are joined in one step.
+    """
     path = Path(path)
+    header = ["context_id", "action_index"] + [f"f{j}" for j in range(dataset.d)] + ["reward"]
+    floats = np.column_stack([dataset.feature_matrix(), dataset.rewards()]).tolist()
+    prefix = io.StringIO()
+    prefix_writer = csv.writer(prefix)
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["context_id", "action_index"]
-            + [f"f{j}" for j in range(dataset.d)]
-            + ["reward"]
-        )
-        # csv writes a float as its repr, the text _float_repr gives.
-        writer.writerows(
-            [record.context_id, record.action_index, *features, reward]
-            for record, features, reward in zip(
-                dataset, dataset.feature_matrix().tolist(), dataset.rewards().tolist())
-        )
+        csv.writer(handle).writerow(header)
+        for record, row in zip(dataset, floats):
+            prefix.seek(0)
+            prefix.truncate()
+            # "<id>,<action_index>,\r\n": the empty last field leaves the comma.
+            prefix_writer.writerow([record.context_id, record.action_index, ""])
+            handle.write(f"{prefix.getvalue()[:-2]}{','.join(map(repr, row))}\r\n")
 
 
 def dataset_from_csv(path) -> InteractionDataset:

@@ -1,6 +1,7 @@
 import logging
 
 import numpy as np
+import pytest
 
 from mixplan import (
     BanditInstance,
@@ -80,10 +81,16 @@ def test_supervised_oracle_recovers_theta_on_span(rng):
     assert np.linalg.norm(estimate.theta_hat - theta) < 1e-6
 
 
-def test_supervised_oracle_equals_ridge_on_exploded_dataset(rng):
-    contexts = unit_ball_contexts(rng, 10, 3, 4)
+@pytest.mark.parametrize("action_counts, points", [
+    ([4] * 10, [4, 10]),
+    # Later contexts hold more actions than the first point's, so the row
+    # buffer sized from that point runs out and grows, twice.
+    ([1, 1, 1, 2, 2, 3, 4, 5, 6, 6, 6, 6], [2, 3, 5, 8, 12]),
+], ids=["uniform", "growing"])
+def test_supervised_oracle_equals_ridge_on_exploded_dataset(rng, action_counts, points):
+    contexts = [unit_ball_contexts(rng, 1, 3, a)[0] for a in action_counts]
     instance = _streaming_instance([0.3, -0.1, 0.8], contexts, noise_std=1.0)
-    oracle = list(oracle_fits(instance, [4, 10], lambda_reg=0.5,
+    oracle = list(oracle_fits(instance, points, lambda_reg=0.5,
                               rng=np.random.default_rng(7)))
     replay = np.random.default_rng(7)
     records = []
@@ -93,9 +100,10 @@ def test_supervised_oracle_equals_ridge_on_exploded_dataset(rng):
             records.append(
                 InteractionRecord(context.context_id, a, context.features[a], reward)
             )
-    for estimate, n in zip(oracle, (4, 10)):
-        direct = ridge_fit(make_dataset(3, records[: n * 4]), 0.5)
+    for estimate, n in zip(oracle, points):
+        direct = ridge_fit(make_dataset(3, records[: sum(action_counts[:n])]), 0.5)
         assert np.array_equal(estimate.theta_hat, direct.theta_hat)
+        assert estimate.sigma_prime_n.matrix.tobytes() == direct.sigma_prime_n.matrix.tobytes()
 
 
 def test_baselines_produce_valid_datasets_through_sampler():

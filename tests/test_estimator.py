@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,6 +25,7 @@ from mixplan import (
     RidgeEstimate,
     evaluate,
     greedy_action,
+    make_synthetic,
     ridge_fit,
 )
 from mixplan.estimator import EvaluationSet, evaluate_values, ridge_fit_arrays
@@ -256,25 +261,36 @@ def _reference_report(estimate, contexts, true_values):
     )
 
 
+def _zero_some_rows(features, rng, share):
+    """``features`` with each row set to zero (some as -0.0) with probability ``share``."""
+    zero = rng.random(len(features)) < share
+    features[zero] = np.where(rng.random((int(zero.sum()), features.shape[1])) < 0.5, 0.0, -0.0)
+    return features
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.integers(1, 30),
     action_counts=st.lists(st.integers(1, 12), min_size=1, max_size=40),
     uniform=st.booleans(),
     block_floats=st.sampled_from([1, 7, 64, 500, covariance_module._BLOCK_FLOATS]),
+    zero_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batched_evaluation_matches_per_context_loop(d, action_counts, uniform, block_floats,
-                                                     seed):
+                                                     zero_share, seed):
     # Block sizes from one context per block up to the module default, so
     # sets with mixed action counts span several blocks per group; uniform
     # sets (single-action ones among them) take the contiguous-slice path.
-    # One stacked set is evaluated against several estimates, and so is the
-    # plain list, which stacks on the spot.
+    # About ``zero_share`` of the feature rows are all zero, so blocks keep
+    # every row, some, one or none of them live. One stacked set is
+    # evaluated against several estimates, and so is the plain list, which
+    # stacks on the spot.
     if uniform:
         action_counts = [action_counts[0]] * len(action_counts)
     rng = np.random.default_rng(seed)
-    contexts = [Context(f"c{i}", rng.normal(size=(a, d))) for i, a in enumerate(action_counts)]
+    contexts = [Context(f"c{i}", _zero_some_rows(rng.normal(size=(a, d)), rng, zero_share))
+                for i, a in enumerate(action_counts)]
     theta_star = rng.normal(size=d)
     instance = _instance_with_contexts(theta_star, contexts)
     labels = [rng.integers(0, 3, size=c.n_actions).astype(np.float64) for c in contexts]
@@ -299,6 +315,141 @@ def test_batched_evaluation_matches_per_context_loop(d, action_counts, uniform, 
     # Every score of the tied estimate is 0, so the greedy policy takes action 0.
     assert (evaluate_values(tied, labelled_set).policy_value
             == float(np.mean([label[0] for label in labels])))
+
+
+def _live_row_case(name):
+    """(contexts, theta_star, _BLOCK_FLOATS) of a named evaluation set with
+    all-zero feature rows."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    d = 5
+    if name == "synthetic":
+        instance = make_synthetic(20)
+        contexts = instance.draw_contexts(rng, 400)
+        return contexts, instance.theta_star, covariance_module._BLOCK_FLOATS
+    if name == "all-zero":
+        rows = [np.zeros((4, d)) for _ in range(6)]
+        block_floats = 500
+    elif name == "one-live-row-per-block":
+        # One context per block, one nonzero row per context.
+        rows = [np.zeros((3, d)) for _ in range(8)]
+        for i, features in enumerate(rows):
+            features[i % 3] = rng.normal(size=d)
+        block_floats = 3 * d
+    elif name == "one-live-row-in-a-set":
+        rows = [np.zeros((3, d)) for _ in range(8)]
+        rows[5][2] = rng.normal(size=d)
+        block_floats = 500
+    elif name == "two-live-rows":
+        rows = [np.zeros((4, d)) for _ in range(8)]
+        rows[1][3] = rng.normal(size=d)
+        rows[6][0] = rng.normal(size=d)
+        block_floats = 500
+    elif name == "zero-single-action":
+        rows = [rng.normal(size=(1, d)) * (i % 2) for i in range(9)]
+        block_floats = 500
+    else:  # mixed action counts, some contexts all zero, some with no zero row
+        rows = [_zero_some_rows(rng.normal(size=(a, d)), rng, share)
+                for a, share in zip([1, 2, 3, 5, 1, 2, 3, 5, 2, 3, 1, 5] * 3,
+                                    [0.0, 0.5, 1.0, 0.6] * 9)]
+        block_floats = 7 * d
+    contexts = [Context(f"c{i}", features) for i, features in enumerate(rows)]
+    return contexts, rng.normal(size=d), block_floats
+
+
+LIVE_ROW_CASES = ["all-zero", "one-live-row-per-block", "one-live-row-in-a-set",
+                  "two-live-rows", "zero-single-action", "mixed", "synthetic"]
+
+
+def live_row_mismatches(name) -> list:
+    """What differs in any bit between evaluating a live-row case stacked
+    and one context at a time: report fields, and blocks whose norms
+    differ from one ``mahalanobis_rows`` call per context."""
+    contexts, theta_star, block_floats = _live_row_case(name)
+    d = len(theta_star)
+    rng = np.random.default_rng(3)
+    instance = _instance_with_contexts(theta_star, contexts)
+    labels = [rng.integers(0, 3, size=c.n_actions).astype(np.float64) for c in contexts]
+    true_scores = [c.features @ theta_star for c in contexts]
+    fits = [ridge_fit(_dataset(rng.normal(size=(k * d, d)), rng.normal(size=k * d)), lam)
+            for k, lam in ((3, 0.7), (1, 2.0))]
+    mismatches = []
+    with mock.patch.object(covariance_module, "_BLOCK_FLOATS", block_floats):
+        linear_set = EvaluationSet(contexts, theta_star=theta_star)
+        labelled_set = EvaluationSet(contexts, true_values=labels)
+        for k, estimate in enumerate(fits):
+            reports = [
+                ("set", evaluate(estimate, instance, linear_set), true_scores),
+                ("list", evaluate(estimate, instance, contexts), true_scores),
+                ("labels", evaluate_values(estimate, labelled_set), labels),
+            ]
+            for kind, report, truth in reports:
+                expected = _reference_report(estimate, contexts, truth)
+                mismatches += [f"{kind}/{k}/{field}"
+                               for field in EvaluationReport.__dataclass_fields__
+                               if getattr(report, field) != getattr(expected, field)]
+            cov = estimate.sigma_prime_n
+            for b, block in enumerate(linear_set.blocks):
+                norms = covariance_module._block_norms(cov, block.features, block.live)
+                one_at_a_time = np.stack([cov.mahalanobis_rows(rows) for rows in block.features])
+                if norms.tobytes() != one_at_a_time.tobytes():
+                    mismatches.append(f"norms/{k}/block {b}")
+    return mismatches
+
+
+@pytest.mark.parametrize("name", LIVE_ROW_CASES)
+def test_live_row_evaluation_matches_per_context_loop(name):
+    assert live_row_mismatches(name) == []
+
+
+def test_evaluation_set_records_live_rows_once():
+    # A block keeps a copy of its live rows when they are two or more and
+    # no more than its zero rows, and the set records them when it is
+    # stacked, not at each evaluation.
+    contexts, theta_star, block_floats = _live_row_case("mixed")
+    instance = _instance_with_contexts(theta_star, contexts)
+    rng = np.random.default_rng(5)
+    estimate = ridge_fit(_dataset(rng.normal(size=(20, 5)), rng.normal(size=20)), 1.0)
+    with mock.patch.object(covariance_module, "_BLOCK_FLOATS", block_floats), \
+            mock.patch("mixplan.estimator._live_rows",
+                       side_effect=covariance_module._live_rows) as live_rows:
+        eval_set = EvaluationSet(contexts, theta_star=theta_star)
+        assert live_rows.call_count == len(eval_set.blocks)
+        for _ in range(3):
+            evaluate(estimate, instance, eval_set)
+        assert live_rows.call_count == len(eval_set.blocks)
+    kept = 0
+    for block in eval_set.blocks:
+        g, n_actions, d = block.features.shape
+        flat = block.features.reshape(g * n_actions, d)
+        nonzero = np.flatnonzero(np.abs(flat).sum(axis=1) > 0)
+        if n_actions == 1 or len(nonzero) < 2 or 2 * len(nonzero) > len(flat):
+            assert block.live is None
+        else:
+            index, rows = block.live
+            assert index.tolist() == nonzero.tolist()
+            assert rows.tobytes() == flat[nonzero].tobytes() and not rows.flags.writeable
+            kept += 1
+    assert 0 < kept < len(eval_set.blocks)
+    synthetic = make_synthetic(20)
+    eval_set = EvaluationSet(synthetic.draw_contexts(np.random.default_rng(1), 50),
+                             theta_star=synthetic.theta_star)
+    # Every synthetic context has 10 actions, 5 of them all zero.
+    assert sum(len(block.live[0]) for block in eval_set.blocks) == 250
+
+
+def test_live_row_evaluation_matches_per_context_loop_at_two_blas_threads():
+    # The BLAS thread count is fixed when numpy loads, so the check runs in
+    # a fresh interpreter.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
+    here = Path(__file__).resolve().parent
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(here.parent / "src"), str(here)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    script = ("import json, test_estimator as t; "
+              "print(json.dumps({n: t.live_row_mismatches(n) for n in t.LIVE_ROW_CASES}))")
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out.strip().splitlines()[-1]) == {name: [] for name in LIVE_ROW_CASES}
 
 
 def test_evaluation_set_is_read_only_and_positions_cover_every_context(rng):

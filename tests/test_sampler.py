@@ -144,10 +144,14 @@ def _per_value_csv(dataset, path):
 
 def test_dataset_csv_bytes_match_a_per_value_writer(tmp_path):
     awkward = [-0.0, 0.0, 5e-324, 2.5e-310, -1e-320, 1e16, -1e16, 0.1, 1.0 / 3.0, 1e300,
-               123456789.125, -2.0 ** -1074, 9007199254740993.0]
+               123456789.125, -2.0 ** -1074, 9007199254740993.0, 1e-05, -2.5e-07, 1.5e22]
+    # Ids csv quotes (delimiter, quote, line breaks) and ids it writes as they are.
+    ids = ["a,b", 'q"x', "line\nbreak", "carriage\rreturn", "", "tab\there", '"', ",",
+           "x\x00y", "é"]
     d = 5
     records = [
-        InteractionRecord(f"ctx,{i}" if i % 4 == 0 else f"ctx-{i}", i % 3,
+        InteractionRecord(ids[i // 2] if i % 2 == 0 and i // 2 < len(ids) else f"ctx-{i}",
+                          i % 3,
                           np.array([awkward[(i + j) % len(awkward)] for j in range(d)]),
                           awkward[(7 * i) % len(awkward)])
         for i in range(2 * len(awkward))
@@ -155,7 +159,12 @@ def test_dataset_csv_bytes_match_a_per_value_writer(tmp_path):
     dataset = make_dataset(d, records)
     dataset_to_csv(dataset, tmp_path / "rows.csv")
     _per_value_csv(dataset, tmp_path / "values.csv")
-    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
+    written = (tmp_path / "rows.csv").read_bytes()
+    assert written == (tmp_path / "values.csv").read_bytes()
+    assert b'"a,b"' in written and b'"q""x"' in written and b'"line\nbreak"' in written
+    assert b"1e-05" in written and b"1e+16" in written and b"-0.0" in written
+    loaded = dataset_from_csv(tmp_path / "rows.csv")
+    assert [r.context_id for r in loaded] == [r.context_id for r in dataset]
     empty = tmp_path / "empty.csv"
     dataset_to_csv(InteractionDataset(d), empty)
     assert empty.read_bytes() == b"context_id,action_index,f0,f1,f2,f3,f4,reward\r\n"
