@@ -4,8 +4,9 @@ A bandit instance bundles the feature geometry, the reward model, and the
 context distribution. Everything downstream (planner, sampler, estimator,
 harness) speaks in these types. All of them are immutable after
 construction and safe to share across threads, with two exceptions:
-``InteractionDataset``, which ``append`` grows in place, and the instance of
-``environments.make_rank_instance``, whose stream advances a hidden cursor.
+``InteractionDataset``, whose ``append`` adds one step in place, and the
+instance of ``environments.make_rank_instance``, whose stream advances a
+hidden cursor.
 Random generators are always passed in explicitly and owned by the caller,
 never stored.
 
@@ -338,34 +339,48 @@ class InteractionRecord:
 
 
 class InteractionDataset:
-    """Ordered bandit feedback, one record per online step."""
+    """Ordered bandit feedback as columns: the context ids, the actions
+    (int64), an (n, d) feature array and the rewards. The arrays are
+    read-only; arrays handed in are taken over and frozen, not copied.
+    Iterating gives each step as an ``InteractionRecord``."""
 
-    def __init__(self, d: int):
+    def __init__(self, d: int, context_ids: Sequence[str] = (), actions=(),
+                 features: Optional[np.ndarray] = None, rewards=()):
         if d < 1:
             raise ConfigurationError("dimension must be at least 1")
-        self.d = int(d)
-        self.records: list[InteractionRecord] = []
+        self.d, self.context_ids = int(d), list(context_ids)
+        n = len(self.context_ids)
+        self.actions = np.asarray(actions, dtype=np.int64)
+        self._features = np.asarray(np.zeros((0, self.d)) if features is None else features,
+                                    dtype=np.float64)
+        self._rewards = np.asarray(rewards, dtype=np.float64)
+        shapes = (self.actions.shape, self._features.shape, self._rewards.shape)
+        if shapes != ((n,), (n, self.d), (n,)):
+            raise ContractViolation(f"columns of shapes {shapes} for {n} context ids and d = {d}")
+        for column in (self.actions, self._features, self._rewards):
+            column.setflags(write=False)
 
     def append(self, record: InteractionRecord) -> None:
+        """Add one step at the end, copying every column."""
         if record.feature.shape != (self.d,):
-            raise ContractViolation(
-                f"record feature has shape {record.feature.shape}, expected ({self.d},)"
-            )
-        self.records.append(record)
+            raise ContractViolation(f"record feature shape {record.feature.shape} != ({self.d},)")
+        self.__init__(self.d, self.context_ids + [record.context_id],
+                      np.append(self.actions, record.action_index),
+                      np.vstack([self._features, record.feature]),
+                      np.append(self._rewards, record.reward))
 
     def feature_matrix(self) -> np.ndarray:
-        if not self.records:
-            return np.zeros((0, self.d))
-        return np.vstack([r.feature for r in self.records])
+        return self._features
 
     def rewards(self) -> np.ndarray:
-        return np.array([r.reward for r in self.records], dtype=np.float64)
+        return self._rewards
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.context_ids)
 
     def __iter__(self):
-        return iter(self.records)
+        return map(InteractionRecord, self.context_ids, self.actions.tolist(), self._features,
+                   self._rewards.tolist())
 
 
 @dataclass(frozen=True)

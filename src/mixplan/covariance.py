@@ -101,9 +101,8 @@ def _context_blocks(contexts: Sequence[Context], d: int):
     ``_BLOCK_FLOATS`` floats.
 
     ``position`` says where the block's contexts sit in ``contexts``: a
-    slice when all contexts have one action count (every block is then a
-    contiguous run, and no per-context grouping is needed), otherwise an
-    index array. The blocks of a ``ContextBatch`` are views of its features.
+    slice for a ``ContextBatch``, whose blocks are views of its features,
+    otherwise an index array.
     """
     if isinstance(contexts, ContextBatch):
         if contexts.d != d:
@@ -112,18 +111,6 @@ def _context_blocks(contexts: Sequence[Context], d: int):
         for start in range(0, len(contexts), step):
             feats = contexts.features[start:start + step]
             yield slice(start, start + len(feats)), feats
-        return
-    shapes = {context.features.shape for context in contexts}
-    if len(shapes) == 1:
-        ((n_actions, context_d),) = shapes
-        if context_d != d:
-            raise ContractViolation(f"context dimension {context_d} != {d}")
-        step = max(1, _BLOCK_FLOATS // (n_actions * d))
-        for start in range(0, len(contexts), step):
-            chunk = contexts[start:start + step]
-            g = len(chunk)
-            yield (slice(start, start + g),
-                   np.concatenate([c.features for c in chunk]).reshape(g, n_actions, d))
         return
     by_actions: dict[int, list[int]] = {}
     for i, context in enumerate(contexts):

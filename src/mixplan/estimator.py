@@ -108,7 +108,7 @@ def ridge_fit_arrays(features: np.ndarray, rewards: np.ndarray,
     """``ridge_fit`` on an (n, d) feature matrix and its n rewards.
 
     Prefix slices ``features[:n]``, ``rewards[:n]`` of one stacked dataset
-    give the same bits as ``ridge_fit`` on a dataset of its first n records.
+    give the same bits as ``ridge_fit`` on a dataset of its first n steps.
     """
     if lambda_reg <= 0:
         raise ConfigurationError("lambda_reg must be positive")

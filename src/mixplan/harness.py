@@ -450,13 +450,11 @@ def emit_action_histogram(dataset: InteractionDataset, path=None) -> dict:
     """Per-action frequency of a dataset; optionally written as CSV."""
     if len(dataset) == 0:
         raise ConfigurationError("dataset is empty")
-    actions = np.array([r.action_index for r in dataset])
-    n_actions = int(actions.max()) + 1
-    counts = np.bincount(actions, minlength=n_actions)
+    counts = np.bincount(dataset.actions)
     frequencies = counts / counts.sum()
     if path is not None:
         lines = ["action_index,count,frequency"]
-        for a in range(n_actions):
+        for a in range(len(counts)):
             lines.append(f"{a},{counts[a]},{_float_repr(frequencies[a])}")
         Path(path).write_text("\n".join(lines) + "\n")
     return {

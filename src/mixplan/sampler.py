@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,6 @@ from .core import (
     ContractViolation,
     DataError,
     InteractionDataset,
-    InteractionRecord,
     action_counts,
     context_ids,
     feature_rows,
@@ -39,7 +39,7 @@ _RUN_FLOATS = 1 << 16
 
 def sample(policy, instance: BanditInstance, N: int, rng: np.random.Generator, *,
            policy_rng: np.random.Generator | None = None) -> InteractionDataset:
-    """Collect N records by running ``policy`` on the instance's context stream.
+    """Collect N steps by running ``policy`` on the instance's context stream.
 
     ``policy`` is a MixturePolicy or any of the baselines: anything with
     ``draw(rng, n_actions)``, its own draws for contexts with those action
@@ -50,8 +50,9 @@ def sample(policy, instance: BanditInstance, N: int, rng: np.random.Generator, *
     The steps are taken in runs. A run first makes the generator calls of
     its steps in stream order (each context's draws, the policy's draw when
     it shares ``rng``, the reward's normal), then builds the contexts,
-    decides their actions and computes their rewards. No action changes a
-    draw, so the records are bit for bit those of one context at a time.
+    decides their actions and computes their rewards into the dataset's
+    columns. No action changes a draw, so the steps are bit for bit those of
+    one context at a time.
     """
     if policy_rng is None:
         policy_rng = rng
@@ -63,21 +64,22 @@ def sample(policy, instance: BanditInstance, N: int, rng: np.random.Generator, *
             f"policy dimension {policy_d} != instance dimension {instance.d}"
         )
     shared = policy_rng is rng
-    dataset = InteractionDataset(instance.d)
+    ids: list[str] = []
+    actions = np.empty(N, dtype=np.int64)
+    features = np.empty((N, instance.d))
+    rewards = np.empty(N)
     done = 0
     while done < N:
         contexts, policy_draws, normals = _draw_run(policy, instance, N - done, rng, shared)
-        done += len(contexts)
+        run = slice(done, done + len(contexts))
+        done = run.stop
         if not shared:
             policy_draws = policy.draw(policy_rng, action_counts(contexts))
-        actions = policy.decide(contexts, policy_draws)
-        rewards = instance.rewards(contexts, actions, normals, rng)
-        for context_id, a, feature, reward in zip(
-                context_ids(contexts), actions.tolist(), feature_rows(contexts, actions),
-                rewards.tolist()):
-            dataset.append(InteractionRecord(context_id=context_id, action_index=a,
-                                             feature=feature, reward=reward))
-    return dataset
+        actions[run] = policy.decide(contexts, policy_draws)
+        rewards[run] = instance.rewards(contexts, actions[run], normals, rng)
+        features[run] = feature_rows(contexts, actions[run])
+        ids.extend(context_ids(contexts))
+    return InteractionDataset(instance.d, ids, actions, features, rewards)
 
 
 def _draw_run(policy, instance: BanditInstance, most: int, rng: np.random.Generator,
@@ -125,11 +127,11 @@ def dataset_to_csv(dataset: InteractionDataset, path) -> None:
     prefix_writer = csv.writer(prefix)
     with path.open("w", newline="") as handle:
         csv.writer(handle).writerow(header)
-        for record, row in zip(dataset, floats):
+        for context_id, a, row in zip(dataset.context_ids, dataset.actions.tolist(), floats):
             prefix.seek(0)
             prefix.truncate()
             # "<id>,<action_index>,\r\n": the empty last field leaves the comma.
-            prefix_writer.writerow([record.context_id, record.action_index, ""])
+            prefix_writer.writerow([context_id, a, ""])
             handle.write(f"{prefix.getvalue()[:-2]}{','.join(map(repr, row))}\r\n")
 
 
@@ -138,30 +140,27 @@ def dataset_from_csv(path) -> InteractionDataset:
     a feature or reward that is not a number, an action index that is not a
     nonnegative integer) raises DataError naming its line."""
     path = Path(path)
+    ids, actions, features, rewards = [], [], [], []
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or len(header) < 3 or header[0] != "context_id":
             raise DataError(f"{path} is not an interaction dataset CSV")
         d = len(header) - 3
-        dataset = InteractionDataset(d)
         for row in reader:
             where = f"{path} line {reader.line_num}"
             if len(row) != len(header):
                 raise DataError(f"{where}: row with {len(row)} fields, expected {len(header)}")
             try:
-                record = InteractionRecord(
-                    context_id=row[0],
-                    action_index=int(row[1]),
-                    feature=np.array([float(v) for v in row[2:-1]]),
-                    reward=float(row[-1]),
-                )
+                actions.append(int(row[1]))
+                features.append(np.array([float(v) for v in row[2:-1]]))
+                rewards.append(float(row[-1]))
             except ValueError as exc:
                 raise DataError(f"{where}: {exc}") from None
-            if record.action_index < 0:
-                raise DataError(f"{where}: negative action index {record.action_index}")
-            dataset.append(record)
-    return dataset
+            if actions[-1] < 0:
+                raise DataError(f"{where}: negative action index {actions[-1]}")
+            ids.append(row[0])
+    return InteractionDataset(d, ids, actions, np.array(features).reshape(len(ids), d), rewards)
 
 
 def dataset_to_npz(dataset: InteractionDataset, path) -> None:
@@ -171,28 +170,28 @@ def dataset_to_npz(dataset: InteractionDataset, path) -> None:
         np.savez_compressed(
             handle,
             d=np.int64(dataset.d),
-            context_ids=np.array([r.context_id for r in dataset], dtype=np.str_),
-            action_indices=np.array([r.action_index for r in dataset], dtype=np.int64),
+            context_ids=np.array(dataset.context_ids, dtype=np.str_),
+            action_indices=dataset.actions,
             features=dataset.feature_matrix(),
             rewards=dataset.rewards(),
         )
 
 
 def dataset_from_npz(path) -> InteractionDataset:
-    with np.load(Path(path), allow_pickle=False) as payload:
-        d = int(payload["d"])
-        ids = payload["context_ids"]
-        actions = payload["action_indices"]
-        features = payload["features"]
-        rewards = payload["rewards"]
-    dataset = InteractionDataset(d)
-    for i in range(len(ids)):
-        dataset.append(
-            InteractionRecord(
-                context_id=str(ids[i]),
-                action_index=int(actions[i]),
-                feature=features[i],
-                reward=float(rewards[i]),
-            )
-        )
-    return dataset
+    """Read the compact binary form. A file with a missing array, or with
+    arrays that do not fit together, raises DataError naming the file."""
+    path = Path(path)
+    keys = ("d", "context_ids", "action_indices", "features", "rewards")
+    try:
+        with np.load(path, allow_pickle=False) as payload:
+            d, ids, actions, features, rewards = (payload[key] for key in keys)
+    except (KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{path} is not an interaction dataset npz: {exc}") from None
+    if ids.ndim != 1 or ids.dtype.kind != "U":
+        raise DataError(f"{path}: context ids must be one string per step")
+    if actions.dtype.kind not in "iu" or (actions < 0).any():
+        raise DataError(f"{path}: action indices must be nonnegative integers")
+    try:
+        return InteractionDataset(int(d), ids.tolist(), actions, features, rewards)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from None

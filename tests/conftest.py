@@ -15,10 +15,11 @@ def make_context(rows, context_id="ctx"):
 
 def make_dataset(d, records):
     """An ``InteractionDataset`` of dimension d holding ``records`` in order."""
-    dataset = InteractionDataset(d)
-    for record in records:
-        dataset.append(record)
-    return dataset
+    records = list(records)
+    return InteractionDataset(
+        d, [r.context_id for r in records], [r.action_index for r in records],
+        np.array([r.feature for r in records]) if records else None,
+        [r.reward for r in records])
 
 
 def unit_ball_contexts(rng, count, d, n_actions):

@@ -141,6 +141,55 @@ def test_dataset_enforces_shared_dimension():
     assert len(dataset) == 1
 
 
+def test_dataset_feature_matrix_is_the_stored_read_only_array():
+    features = np.arange(6.0).reshape(3, 2)
+    dataset = InteractionDataset(2, ["a", "b", "c"], [0, 1, 0], features, [1.0, 2.0, 3.0])
+    first = dataset.feature_matrix()
+    assert first is dataset.feature_matrix() and first is features
+    assert dataset.rewards() is dataset.rewards()
+    for column in (first, dataset.rewards(), dataset.actions):
+        assert not column.flags.writeable
+    assert dataset.actions.dtype == np.int64
+    empty = InteractionDataset(2)
+    assert empty.feature_matrix().shape == (0, 2) and len(empty) == 0
+
+
+@pytest.mark.parametrize("columns", [
+    (["a", "b"], [0], np.zeros((2, 2)), [1.0, 2.0]),
+    (["a", "b"], [0, 1], np.zeros((3, 2)), [1.0, 2.0]),
+    (["a", "b"], [0, 1], np.zeros((2, 3)), [1.0, 2.0]),
+    (["a", "b"], [0, 1], np.zeros(4), [1.0, 2.0]),
+    (["a", "b"], [0, 1], np.zeros((2, 2)), [1.0]),
+    (["a", "b"], [0, 1], np.zeros((2, 2)), [[1.0], [2.0]]),
+    (["a", "b"], [[0, 1]], np.zeros((2, 2)), [1.0, 2.0]),
+    (["a"], [0, 1], np.zeros((2, 2)), [1.0, 2.0]),
+    (["a"], [0], None, [1.0]),
+], ids=["few actions", "extra rows", "wide rows", "flat features", "few rewards",
+        "2-d rewards", "2-d actions", "few ids", "no features"])
+def test_dataset_rejects_columns_that_do_not_fit(columns):
+    with pytest.raises(ContractViolation, match="columns of shapes"):
+        InteractionDataset(2, *columns)
+
+
+def test_dataset_append_gives_the_constructor_dataset():
+    rng = np.random.default_rng(3)
+    ids, actions = ["a", "b,c", ""], [2, 0, 5]
+    features, rewards = rng.normal(size=(3, 4)), rng.normal(size=3)
+    grown = InteractionDataset(4)
+    for i in range(3):
+        grown.append(InteractionRecord(ids[i], actions[i], features[i], float(rewards[i])))
+    built = InteractionDataset(4, ids, actions, features, rewards)
+    assert grown.context_ids == built.context_ids == ids
+    assert grown.actions.tobytes() == built.actions.tobytes()
+    assert grown.feature_matrix().tobytes() == built.feature_matrix().tobytes()
+    assert grown.rewards().tobytes() == built.rewards().tobytes()
+    for column in (grown.actions, grown.feature_matrix(), grown.rewards()):
+        assert not column.flags.writeable
+    for a, b in zip(grown, built, strict=True):
+        assert (a.context_id, a.action_index, a.reward) == (b.context_id, b.action_index, b.reward)
+        assert a.feature.tobytes() == b.feature.tobytes()
+
+
 def test_config_alpha_defaults_to_budget_ratio():
     config = ExperimentConfig(M=200, N=50, lambda_reg=1.0)
     assert config.alpha == pytest.approx(0.25)

@@ -424,10 +424,7 @@ def test_context_blocks_keep_the_grouping_and_chunk_boundaries(d, action_counts,
         blocks = list(_context_blocks(contexts, d))
     expected = list(_grouped_blocks(contexts, d, block_floats))
     assert len(blocks) == len(expected)
-    one_count = len(set(action_counts)) == 1
     for (position, features), (indices, stacked) in zip(blocks, expected):
-        # One action count: every block is a contiguous run, given as a slice.
-        assert isinstance(position, slice) == one_count
         assert np.arange(len(contexts))[position].tolist() == indices
         assert features.shape == stacked.shape
         assert features.tobytes() == stacked.tobytes()

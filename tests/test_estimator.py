@@ -461,7 +461,8 @@ def test_evaluation_set_is_read_only_and_positions_cover_every_context(rng):
     for block in eval_set.blocks:
         assert not block.features.flags.writeable and not block.true.flags.writeable
     uniform = EvaluationSet(contexts[:7], true_values=[np.zeros(2)] * 7)
-    assert [block.position for block in uniform.blocks] == [slice(0, 7)]
+    assert [np.arange(7)[block.position].tolist() for block in uniform.blocks] == [
+        list(range(7))]
 
 
 def test_evaluate_rejects_a_set_of_other_true_values(rng):
@@ -516,7 +517,7 @@ def test_prefix_slice_fit_equals_ridge_fit_on_prefix_dataset(d, total, data):
     dataset = _dataset(rng.normal(size=(total, d)), rng.normal(size=total))
     features, rewards = dataset.feature_matrix(), dataset.rewards()
     sliced = ridge_fit_arrays(features[:n], rewards[:n], 0.5)
-    direct = ridge_fit(make_dataset(d, dataset.records[:n]), 0.5)
+    direct = ridge_fit(make_dataset(d, list(dataset)[:n]), 0.5)
     assert sliced.theta_hat.tobytes() == direct.theta_hat.tobytes()
     assert sliced.sigma_prime_n.matrix.tobytes() == direct.sigma_prime_n.matrix.tobytes()
     assert sliced.n_samples == direct.n_samples == n

@@ -28,6 +28,7 @@ from mixplan import (
 
 from mixplan import covariance as covariance_module
 from mixplan import planner as planner_module
+from mixplan.core import action_counts, stack_contexts
 
 from conftest import make_context, unit_ball_contexts
 
@@ -345,7 +346,8 @@ def test_policy_action_phase_frequencies():
     context = make_context([[0.9, 0.0], [0.0, 0.5]])
     # snapshot A: norms (0.9, 0.5) -> action 0; snapshot B: (0.28, 0.5) -> action 1
     rng = np.random.default_rng(31)
-    draws = np.array([policy.action(context, rng) for _ in range(100_000)])
+    batch = stack_contexts([context] * 100_000)
+    draws = policy.decide(batch, policy.draw(rng, action_counts(batch)))
     phase_one_rate = float(np.mean(draws == 0))
     assert phase_one_rate == pytest.approx(0.30, abs=0.01)
 

@@ -6,6 +6,7 @@ import pytest
 from mixplan import (
     BanditInstance,
     ConfigurationError,
+    DataError,
     ExperimentConfig,
     InteractionDataset,
     InteractionRecord,
@@ -53,7 +54,7 @@ def test_sample_single_noiseless_record(rng):
     policy, _ = _plan_on(instance, 3)
     dataset = sample(policy, instance, 1, rng)
     assert len(dataset) == 1
-    record = dataset.records[0]
+    (record,) = list(dataset)
     expected = float(record.feature @ instance.theta_star)
     assert record.reward == expected
 
@@ -185,10 +186,48 @@ def test_dataset_npz_round_trip(tmp_path, rng):
         assert np.array_equal(a.feature, b.feature)
 
 
+def _write_npz(path, **changes):
+    """A valid three-step dataset npz with some arrays replaced or, when the
+    change is None, left out."""
+    arrays = dict(d=np.int64(2), context_ids=np.array(["a", "b", "c"]),
+                  action_indices=np.array([0, 1, 0]), features=np.zeros((3, 2)),
+                  rewards=np.array([1.0, 2.0, 3.0]))
+    arrays.update(changes)
+    with open(path, "wb") as handle:
+        np.savez(handle, **{k: v for k, v in arrays.items() if v is not None})
+    return path
+
+
+def test_dataset_from_npz_reads_the_valid_file(tmp_path):
+    dataset = dataset_from_npz(_write_npz(tmp_path / "ok.npz"))
+    assert dataset.context_ids == ["a", "b", "c"]
+    assert dataset.actions.tolist() == [0, 1, 0]
+
+
+@pytest.mark.parametrize("changes", [
+    dict(features=np.zeros((4, 2))),
+    dict(rewards=np.array([1.0, 2.0])),
+    dict(rewards=np.ones((3, 1))),
+    dict(action_indices=None),
+    dict(action_indices=np.array([0, -1, 0])),
+    dict(context_ids=np.array([1, 2, 3])),
+], ids=["extra feature rows", "fewer rewards than ids", "2-d rewards", "missing key",
+        "negative action", "numeric ids"])
+def test_dataset_from_npz_rejects_a_malformed_file(tmp_path, changes):
+    path = _write_npz(tmp_path / "malformed.npz", **changes)
+    with pytest.raises(DataError, match="malformed.npz"):
+        dataset_from_npz(path)
+
+
+def test_dataset_from_npz_rejects_a_file_that_is_not_npz(tmp_path):
+    path = tmp_path / "dataset.csv.npz"
+    path.write_text("context_id,action_index,f0,reward\r\n")
+    with pytest.raises(DataError, match="dataset.csv.npz"):
+        dataset_from_npz(path)
+
+
 def test_csv_rejects_foreign_files(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("a,b\n1,2\n")
-    from mixplan import DataError
-
     with pytest.raises(DataError):
         dataset_from_csv(path)
