@@ -48,7 +48,7 @@ from .environments import (
     make_rank_instance,
     make_synthetic,
 )
-from .baselines import LargestNormPolicy, RandomPolicy, SingleActionPolicy, oracle_fits
+from .baselines import LargestNormPolicy, RandomPolicy, SingleActionPolicy, full_feedback
 from .concentration import (
     BernoulliChain,
     CoverageReport,

@@ -7,20 +7,20 @@ reward: ``draw(rng, n_actions)`` makes their own draws for a run of
 contexts (only ``RandomPolicy`` draws anything), ``decide(contexts,
 draws)`` picks every action of the run in one pass, and ``action(context,
 rng)`` is the one-context case of the two. The oracle is no
-policy: ``oracle_fits`` observes the reward of every action of each context
-and yields ridge fits on growing prefixes of that full feedback.
+policy: ``full_feedback`` collects the reward of every action of each
+context, and the harness ridge-fits prefixes of it as it fits prefixes of
+``sample``'s dataset.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import BanditInstance, Context, action_counts, context_ids, feature_rows
 from .covariance import _context_blocks
-from .estimator import RidgeEstimate, ridge_fit_arrays
 
 logger = logging.getLogger(__name__)
 
@@ -82,51 +82,26 @@ class SingleActionPolicy:
         return int(self.decide([context], self.draw(rng, [context.n_actions]))[0])
 
 
-def _grown(buffer: np.ndarray, rows: int, size: int) -> np.ndarray:
-    """A buffer of ``size`` rows whose first ``rows`` are those of ``buffer``;
-    the rest is left unwritten, so its pages are not touched yet."""
-    grown = np.empty((size, *buffer.shape[1:]))
-    grown[:rows] = buffer[:rows]
-    return grown
-
-
-def oracle_fits(instance: BanditInstance, points: Sequence[int], lambda_reg: float,
-                rng: np.random.Generator) -> Iterator[RidgeEstimate]:
-    """The full-feedback supervised oracle: for each n in ``points``
-    (increasing), the ridge fit on every action of the first n contexts.
+def full_feedback(instance: BanditInstance, n: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The full-feedback supervised oracle's data: the (R, d) feature rows
+    and the R rewards of every action of the next n contexts, in context
+    then action order, and ``ends``, where ``ends[i]`` is the row count of
+    the first i + 1 contexts.
 
     The stream is the one ``BanditInstance.reward`` of every action of each
     context would draw: each context's own draws, then, for a noisy
-    instance, one ``standard_normal(A)`` call for its A rewards. The
-    contexts are built and their rewards computed once those draws are
-    made (``BanditInstance.rewards``), and each fit equals ``ridge_fit`` on
-    the exploded dataset so far, one row per (context, action). It is an
-    approximate upper bound for the bandit-feedback strategies.
-
-    The rows are appended to one growing buffer, and each point fits a
-    prefix view of it. A buffer that runs out is sized for the last point
-    at the rows per context seen so far (and at least doubled), so the
-    rows are copied a bounded number of times, not once per point.
+    instance, one ``standard_normal(A)`` call for its A rewards. A ridge fit
+    on the first ``ends[i]`` rows equals ``ridge_fit`` on the exploded
+    dataset of the first i + 1 contexts, one row per (context, action); it
+    is an approximate upper bound for the bandit-feedback strategies.
     """
     law, noisy = instance.law, instance.noisy
-    features, rewards = np.empty((0, instance.d)), np.empty(0)
-    rows = seen = 0
-    for n in points:
-        if n > seen:
-            draws, normals = [], []
-            for _ in range(n - seen):
-                draws.extend(law.draw(rng, 1))
-                if noisy:
-                    normals.append(rng.standard_normal(law.n_actions(draws[-1])))
-            contexts = instance.build_contexts(draws)
-            block = feature_rows(contexts)
-            end = rows + len(block)
-            if end > len(features):
-                size = max(end * points[-1] // n, 2 * len(features), end)
-                features, rewards = _grown(features, rows, size), _grown(rewards, rows, size)
-            features[rows:end] = block
-            rewards[rows:end] = instance.rewards(
-                contexts, None, np.concatenate(normals) if normals else None, rng)
-            rows = end
-        seen = n
-        yield ridge_fit_arrays(features[:rows], rewards[:rows], lambda_reg)
+    draws, normals = [], []
+    for _ in range(n):
+        draws.extend(law.draw(rng, 1))
+        if noisy:
+            normals.append(rng.standard_normal(law.n_actions(draws[-1])))
+    contexts = instance.build_contexts(draws)
+    rewards = instance.rewards(contexts, None, np.concatenate(normals) if normals else None)
+    return feature_rows(contexts), rewards, np.cumsum(action_counts(contexts))

@@ -145,6 +145,10 @@ def _load_estimate(path) -> RidgeEstimate:
 
 
 def _cmd_eval(args) -> int:
+    if args.env == "rank_dataset":
+        raise ConfigurationError(
+            "eval scores an estimate against theta_star and requires a linear instance; "
+            "rank_dataset rewards are relevance labels (run-experiment evaluates them)")
     instance, _, _ = _build_env(args)
     estimate = _load_estimate(args.estimate)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(2,)))

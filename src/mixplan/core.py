@@ -18,9 +18,9 @@ batch from them. ``BanditInstance.draw_contexts`` is bit for bit n
 ``context_sampler`` calls; an instance without a law stacks the results of
 its ``context_sampler`` calls.
 
-The reward contract: the reward of action a in a context is
-``reward_fn(context, a, rng)``, which draws nothing (recorded relevance
-labels, say), or the inner product of the action's feature row with
+The reward contract: the reward of action a in a context is entry a of the
+context's recorded reward row in ``labels`` (relevance labels, say), which
+draws nothing, or the inner product of the action's feature row with
 theta_star, computed one row at a time, plus noise_std times one standard
 normal from the stream (none is drawn when noise_std = 0). Nothing about a
 reward depends on an earlier draw, so a caller may draw a run of contexts
@@ -30,7 +30,7 @@ and their normals first and compute the rewards afterwards
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -184,7 +184,6 @@ def feature_rows(contexts: Sequence[Context], actions=None) -> np.ndarray:
     return np.array([context.features[a] for context, a in zip(contexts, actions)])
 
 
-RewardFn = Callable[[Context, int, np.random.Generator], float]
 ContextSampler = Callable[[np.random.Generator], Context]
 
 
@@ -223,11 +222,11 @@ class ContextLaw:
 class BanditInstance:
     """Ground truth for simulation: dimension, reward model, context law.
 
-    ``theta_star`` may be None for data-driven instances whose rewards come
-    from ``reward_fn`` instead (e.g. recorded relevance labels); a
-    ``reward_fn`` must draw nothing from the generator it is handed. Such
-    instances run through the full pipeline, but value and suboptimality
-    evaluation against theta_star is unavailable for them.
+    The rewards are linear in ``theta_star`` or recorded in ``labels``, a
+    mapping from context id to that context's reward row (relevance labels,
+    say); an instance takes exactly one of the two. A labelled instance runs
+    through the full pipeline, but value and suboptimality evaluation
+    against theta_star is unavailable for it.
 
     The context law is ``context_law`` when given, and ``context_sampler``
     is then its one-context case; otherwise it is ``context_sampler`` alone.
@@ -237,7 +236,7 @@ class BanditInstance:
     theta_star: Optional[np.ndarray]
     context_sampler: Optional[ContextSampler] = None
     noise_std: float = 1.0
-    reward_fn: Optional[RewardFn] = None
+    labels: Optional[Mapping[str, np.ndarray]] = None
     context_law: Optional[ContextLaw] = None
 
     def __post_init__(self):
@@ -249,6 +248,8 @@ class BanditInstance:
             if self.context_law is None:
                 raise ConfigurationError("instance needs a context_sampler or a context_law")
             object.__setattr__(self, "context_sampler", self.context_law.sample)
+        if (self.theta_star is None) == (self.labels is None):
+            raise ConfigurationError("instance needs exactly one of theta_star and labels")
         if self.theta_star is not None:
             theta = np.asarray(self.theta_star, dtype=np.float64)
             if theta.shape != (self.d,):
@@ -258,19 +259,27 @@ class BanditInstance:
             if not np.isfinite(theta).all():
                 raise ContractViolation("theta_star must be finite")
             object.__setattr__(self, "theta_star", _readonly(theta))
-        elif self.reward_fn is None:
-            raise ConfigurationError("instance needs theta_star or a reward_fn")
+
+    def _label_row(self, context: Context) -> np.ndarray:
+        row = self.labels.get(context.context_id)
+        if row is None:
+            raise ContractViolation(f"context {context.context_id!r} has no label row")
+        if len(row) != context.n_actions:
+            raise ContractViolation(f"context {context.context_id!r} has {len(row)} labels "
+                                    f"for {context.n_actions} actions")
+        return row
 
     def reward(self, context: Context, action_index: int, rng: np.random.Generator) -> float:
-        """Reward for ``action_index`` in ``context``: ``reward_fn``'s value, or
-        the feature's inner product with theta_star plus noise_std times one
-        standard normal (none is drawn when noise_std = 0)."""
+        """Reward for ``action_index`` in ``context``: its entry of the
+        context's label row, or the feature's inner product with theta_star
+        plus noise_std times one standard normal (none is drawn when
+        noise_std = 0)."""
         if context.d != self.d:
             raise ContractViolation(f"context dimension {context.d} != instance dimension {self.d}")
         if not 0 <= action_index < context.n_actions:
             raise ContractViolation(f"action index {action_index} out of range")
-        if self.reward_fn is not None:
-            return float(self.reward_fn(context, action_index, rng))
+        if self.labels is not None:
+            return float(self._label_row(context)[action_index])
         mean = float(context.features[action_index] @ self.theta_star)
         if self.noise_std == 0.0:
             return mean
@@ -286,7 +295,7 @@ class BanditInstance:
     @property
     def noisy(self) -> bool:
         """Whether each reward draws a standard normal (linear rewards, noise_std > 0)."""
-        return self.reward_fn is None and self.noise_std != 0.0
+        return self.labels is None and self.noise_std != 0.0
 
     def build_contexts(self, draws: Sequence) -> Sequence[Context]:
         """The contexts of a run of the law's draws, checked against the
@@ -306,19 +315,18 @@ class BanditInstance:
             raise ConfigurationError(f"need at least one context, got {n}")
         return self.build_contexts(self.law.draw(rng, n))
 
-    def rewards(self, contexts: Sequence[Context], actions, normals: Optional[np.ndarray],
-                rng: np.random.Generator) -> np.ndarray:
+    def rewards(self, contexts: Sequence[Context], actions,
+                normals: Optional[np.ndarray]) -> np.ndarray:
         """``reward`` of ``actions[i]`` in context i for every i, or with
         ``actions`` None of every action of every context (context, then
         action order). ``normals`` holds each reward's standard normal, drawn
         by the caller in stream order, when the instance is ``noisy``, and is
         None otherwise."""
-        if self.reward_fn is not None:
+        if self.labels is not None:
+            rows = [self._label_row(c) for c in contexts]
             if actions is None:
-                pairs = ((c, a) for c in contexts for a in range(c.n_actions))
-            else:
-                pairs = zip(contexts, actions)
-            return np.array([self.reward_fn(c, int(a), rng) for c, a in pairs], dtype=np.float64)
+                return np.concatenate(rows, dtype=np.float64)
+            return np.array([row[a] for row, a in zip(rows, actions)], dtype=np.float64)
         # A stack of (1, d) rows takes one dot product per row, bit for bit
         # as row @ theta_star; an (n, d) matrix product rounds differently.
         means = (feature_rows(contexts, actions)[:, None, :] @ self.theta_star)[:, 0]

@@ -437,16 +437,15 @@ def make_rank_instance(ranked: Sequence[RankedContext],
                        order: Optional[np.ndarray] = None) -> BanditInstance:
     """Data-driven instance streaming ranked contexts in a fixed order.
 
-    Rewards are the deterministic relevance labels (a misspecified linear
-    model); theta_star is unset. Unlike other instances this one is not
-    immutable: its stream advances a cursor hidden in a closure, so each
-    context is served once, and raises ConfigurationError when the supplied
-    contexts are exhausted.
+    Rewards are the recorded relevance labels (a misspecified linear
+    model), passed as the instance's ``labels``; theta_star is unset. Unlike
+    other instances this one is not immutable: its stream advances a cursor
+    hidden in a closure, so each context is served once, and raises
+    ConfigurationError when the supplied contexts are exhausted.
     """
     if not ranked:
         raise ConfigurationError("no ranked contexts supplied")
     d = ranked[0].context.d
-    relevance_by_id = {rc.context.context_id: rc.relevance for rc in ranked}
     if order is None:
         order = np.arange(len(ranked))
     sequence = [ranked[int(i)].context for i in order]
@@ -459,15 +458,12 @@ def make_rank_instance(ranked: Sequence[RankedContext],
         cursor["next"] = i + 1
         return sequence[i]
 
-    def relevance_reward(context: Context, action_index: int, rng: np.random.Generator) -> float:
-        return float(relevance_by_id[context.context_id][action_index])
-
     return BanditInstance(
         d=d,
         theta_star=None,
         context_sampler=stream,
         noise_std=0.0,
-        reward_fn=relevance_reward,
+        labels={rc.context.context_id: rc.relevance for rc in ranked},
     )
 
 

@@ -11,9 +11,9 @@ true values are stacked into an ``estimator.EvaluationSet`` (the trial
 keeps only the set), so each evaluation point only scores and solves: once
 per trial for simulated instances, and once per ingest for ranking data,
 whose cache keeps the set in place of the test split. The supervised
-oracle takes the place of the collection and the prefix fits with
-``baselines.oracle_fits``, which fits the full feedback of the first n
-contexts.
+oracle collects with ``baselines.full_feedback`` instead, the reward of
+every action of each context, and its fit at point n takes the rows of the
+first n contexts.
 
 Each trial owns one master seed, split deterministically into environment,
 offline-stream, online-stream, policy, and evaluation streams. The online
@@ -40,12 +40,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .baselines import (
-    LargestNormPolicy,
-    RandomPolicy,
-    SingleActionPolicy,
-    oracle_fits,
-)
+from .baselines import LargestNormPolicy, RandomPolicy, SingleActionPolicy, full_feedback
 from .core import (
     BanditInstance,
     ConfigurationError,
@@ -99,8 +94,6 @@ class RunConfig:
     n_actions: int = 10
     k: int = 3
     data_path: Optional[str] = None
-    max_contexts: Optional[int] = None
-    fixed_action: int = 0
     standin_queries: int = 200
     rank_raw_dim: int = 700
     rank_subsampled_dim: int = 300
@@ -125,8 +118,6 @@ class RunConfig:
             raise ConfigurationError("eval_set_size must be at least 1")
         if self.workers < 1:
             raise ConfigurationError("workers must be at least 1")
-        if self.max_contexts is not None and self.max_contexts < 1:
-            raise ConfigurationError("max_contexts must be at least 1")
         if self.environment in ("rank_dataset", "stand_in"):
             RankDatasetSpec(raw_dim=self.rank_raw_dim, subsampled_dim=self.rank_subsampled_dim)
         if self.environment == "rank_dataset" and not self.data_path:
@@ -217,8 +208,6 @@ def _rank_env(rank_data, config: RunConfig, seeds) -> _TrialEnv:
     train, offline_pool, eval_set = rank_data
 
     horizon = min(config.N, len(train))
-    if config.max_contexts is not None:
-        horizon = min(horizon, config.max_contexts)
     if horizon < config.N:
         logger.info("rank horizon capped at %d distinct contexts", horizon)
 
@@ -298,7 +287,7 @@ def _collection_policy(config: RunConfig, env: _TrialEnv):
     if config.algorithm == "largest_norm":
         return LargestNormPolicy()
     if config.algorithm == "single_action":
-        return SingleActionPolicy(config.fixed_action)
+        return SingleActionPolicy()
     return None  # supervised_oracle has no collection policy
 
 
@@ -311,7 +300,8 @@ def _eval_points(horizon: int, eval_every: int) -> list[int]:
 
 def run_trial(config: RunConfig, trial: int) -> list[MetricRow]:
     """One trial: collect the online data, then fit and evaluate the
-    extracted policy on its first n samples for every evaluation point n."""
+    extracted policy on its first n samples for every evaluation point n
+    (for the oracle, on every action of its first n contexts)."""
     seeds = _trial_seeds(config, trial)
     _, _, s_stream, s_policy, _ = seeds
     env = _prepare_trial_env(config, seeds)
@@ -321,15 +311,16 @@ def run_trial(config: RunConfig, trial: int) -> list[MetricRow]:
 
     start = time.perf_counter()
     if policy is None:
-        estimates = oracle_fits(env.instance, points, config.lambda_reg, stream_rng)
+        features, rewards, ends = full_feedback(env.instance, env.horizon, stream_rng)
+        prefix_rows = ends[np.array(points) - 1].tolist()
     else:
         dataset = sample(policy, env.instance, env.horizon, stream_rng,
                          policy_rng=np.random.default_rng(s_policy))
         features, rewards = dataset.feature_matrix(), dataset.rewards()
-        estimates = (ridge_fit_arrays(features[:n], rewards[:n], config.lambda_reg)
-                     for n in points)
+        prefix_rows = points
     rows: list[MetricRow] = []
-    for n, estimate in zip(points, estimates):
+    for n, end in zip(points, prefix_rows):
+        estimate = ridge_fit_arrays(features[:end], rewards[:end], config.lambda_reg)
         report = env.evaluate_estimate(estimate)
         gap = report.expected_suboptimality if env.reports_gap else None
         rows.append(

@@ -76,7 +76,7 @@ def sample(policy, instance: BanditInstance, N: int, rng: np.random.Generator, *
         if not shared:
             policy_draws = policy.draw(policy_rng, action_counts(contexts))
         actions[run] = policy.decide(contexts, policy_draws)
-        rewards[run] = instance.rewards(contexts, actions[run], normals, rng)
+        rewards[run] = instance.rewards(contexts, actions[run], normals)
         features[run] = feature_rows(contexts, actions[run])
         ids.extend(context_ids(contexts))
     return InteractionDataset(instance.d, ids, actions, features, rewards)

@@ -7,13 +7,18 @@ from mixplan import (
     BanditInstance,
     LargestNormPolicy,
     RandomPolicy,
+    RankDatasetSpec,
     SingleActionPolicy,
+    full_feedback,
+    generate_standin_file,
+    ingest_rank_dataset,
+    make_rank_instance,
     make_synthetic,
-    oracle_fits,
     ridge_fit,
     sample,
 )
 from mixplan.core import InteractionRecord
+from mixplan.estimator import ridge_fit_arrays
 
 from conftest import make_context, make_dataset, unit_ball_contexts
 
@@ -76,22 +81,21 @@ def test_supervised_oracle_recovers_theta_on_span(rng):
     theta = np.array([1.0, -2.0, 0.5, 0.0])
     contexts = unit_ball_contexts(rng, 50, 4, 5)
     instance = _streaming_instance(theta, contexts, noise_std=0.0)
-    (estimate,) = oracle_fits(instance, [50], lambda_reg=1e-8, rng=rng)
-    assert estimate.n_samples == 50 * 5
+    features, rewards, ends = full_feedback(instance, 50, rng)
+    assert features.shape == (50 * 5, 4) and ends[-1] == 50 * 5
+    estimate = ridge_fit_arrays(features, rewards, 1e-8)
     assert np.linalg.norm(estimate.theta_hat - theta) < 1e-6
 
 
 @pytest.mark.parametrize("action_counts, points", [
     ([4] * 10, [4, 10]),
-    # Later contexts hold more actions than the first point's, so the row
-    # buffer sized from that point runs out and grows, twice.
     ([1, 1, 1, 2, 2, 3, 4, 5, 6, 6, 6, 6], [2, 3, 5, 8, 12]),
 ], ids=["uniform", "growing"])
 def test_supervised_oracle_equals_ridge_on_exploded_dataset(rng, action_counts, points):
     contexts = [unit_ball_contexts(rng, 1, 3, a)[0] for a in action_counts]
     instance = _streaming_instance([0.3, -0.1, 0.8], contexts, noise_std=1.0)
-    oracle = list(oracle_fits(instance, points, lambda_reg=0.5,
-                              rng=np.random.default_rng(7)))
+    features, rewards, ends = full_feedback(instance, points[-1], np.random.default_rng(7))
+    assert ends.tolist() == np.cumsum(action_counts).tolist()
     replay = np.random.default_rng(7)
     records = []
     for context in contexts:
@@ -100,10 +104,27 @@ def test_supervised_oracle_equals_ridge_on_exploded_dataset(rng, action_counts, 
             records.append(
                 InteractionRecord(context.context_id, a, context.features[a], reward)
             )
-    for estimate, n in zip(oracle, points):
+    for n in points:
+        estimate = ridge_fit_arrays(features[:ends[n - 1]], rewards[:ends[n - 1]], 0.5)
         direct = ridge_fit(make_dataset(3, records[: sum(action_counts[:n])]), 0.5)
         assert np.array_equal(estimate.theta_hat, direct.theta_hat)
         assert estimate.sigma_prime_n.matrix.tobytes() == direct.sigma_prime_n.matrix.tobytes()
+
+
+def test_full_feedback_reads_a_ranking_instance_labels(tmp_path):
+    path = generate_standin_file(tmp_path / "standin.txt", n_queries=12, seed=4, raw_dim=20)
+    train = ingest_rank_dataset(path, RankDatasetSpec(raw_dim=20, subsampled_dim=8), 4).train
+    order = np.random.default_rng(4).permutation(len(train))
+    served = [train[i] for i in order]
+    stream = np.random.default_rng(5)
+    state = stream.bit_generator.state
+    features, rewards, ends = full_feedback(make_rank_instance(train, order=order),
+                                            len(served), stream)
+    assert features.tobytes() == np.concatenate(
+        [rc.context.features for rc in served]).tobytes()
+    assert rewards.tobytes() == np.concatenate([rc.relevance for rc in served]).tobytes()
+    assert ends.tolist() == np.cumsum([rc.context.n_actions for rc in served]).tolist()
+    assert stream.bit_generator.state == state
 
 
 def test_baselines_produce_valid_datasets_through_sampler():

@@ -133,6 +133,31 @@ def test_instance_validates_theta():
         BanditInstance(d=2, theta_star=None, context_sampler=lambda rng: context)
 
 
+def test_instance_takes_exactly_one_of_theta_and_labels():
+    context = make_context([[1.0, 0.0]])
+    for theta_star, labels in ((None, None), (np.zeros(2), {"ctx": np.array([2.0])})):
+        with pytest.raises(ConfigurationError, match="exactly one of theta_star and labels"):
+            BanditInstance(d=2, theta_star=theta_star, context_sampler=lambda rng: context,
+                           labels=labels)
+
+
+def test_labelled_rewards_need_the_context_label_row(rng):
+    labelled = make_context([[1.0, 0.0], [0.0, 1.0]], "q1")
+    unlabelled = make_context([[1.0, 0.0]], "q2")
+    instance = BanditInstance(d=2, theta_star=None, context_sampler=lambda rng: labelled,
+                              noise_std=0.0, labels={"q1": np.array([3.0, 1.0]),
+                                                     "q3": np.array([1.0, 2.0, 0.0])})
+    assert instance.reward(labelled, 1, rng) == 1.0
+    assert instance.rewards([labelled], None, None).tolist() == [3.0, 1.0]
+    with pytest.raises(ContractViolation, match="'q2' has no label row"):
+        instance.reward(unlabelled, 0, rng)
+    for actions in (None, [0, 0]):
+        with pytest.raises(ContractViolation, match="'q2' has no label row"):
+            instance.rewards([labelled, unlabelled], actions, None)
+    with pytest.raises(ContractViolation, match="'q3' has 3 labels for 2 actions"):
+        instance.rewards([make_context(np.eye(2), "q3")], None, None)
+
+
 def test_dataset_enforces_shared_dimension():
     dataset = InteractionDataset(2)
     dataset.append(InteractionRecord("a", 0, np.array([1.0, 0.0]), 1.0))
@@ -217,7 +242,7 @@ def test_config_validation(kwargs):
         ExperimentConfig(**kwargs)
 
 
-@pytest.mark.parametrize("name", ["beta_radius", "ConfidenceRadius", "reward_draw"])
+@pytest.mark.parametrize("name", ["beta_radius", "ConfidenceRadius", "reward_draw", "oracle_fits"])
 def test_removed_names_are_not_exported(name):
     with pytest.raises(ImportError):
         exec(f"from mixplan import {name}", {})

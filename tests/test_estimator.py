@@ -178,7 +178,7 @@ def test_evaluate_requires_contexts_and_theta(rng):
         evaluate(estimate, instance, [])
     misspecified = BanditInstance(
         d=3, theta_star=None, context_sampler=lambda rng: contexts[0],
-        reward_fn=lambda c, a, g: 0.0,
+        labels={c.context_id: np.zeros(c.n_actions) for c in contexts},
     )
     with pytest.raises(ContractViolation):
         evaluate(estimate, misspecified, contexts)

@@ -242,28 +242,6 @@ def test_lambda_sweep_emits_one_metrics_file_per_value(tmp_path):
     assert len({p.read_bytes() for p in paths}) == 3  # distinct regularization, distinct metrics
 
 
-def test_max_contexts_caps_rank_horizon(tmp_path):
-    standin = tmp_path / "cap-data.txt"
-    from mixplan import generate_standin_file
-
-    generate_standin_file(standin, n_queries=40, seed=7, raw_dim=25)
-    config = RunConfig(
-        environment="rank_dataset", algorithm="random", N=100, M=10, alpha=1.0,
-        n_trials=1, eval_every=100, eval_set_size=5, seed=7,
-        data_path=str(standin), rank_raw_dim=25, rank_subsampled_dim=10,
-        max_contexts=5, output_path=str(tmp_path / "capped"),
-    )
-    result = run_experiment(config)
-    assert result.rows[-1].n_samples_seen == 5
-
-
-def test_max_contexts_must_be_positive(tmp_path):
-    for bad in (0, -3):
-        with pytest.raises(ConfigurationError, match="max_contexts"):
-            RunConfig(environment="rank_dataset", algorithm="random", N=10,
-                      data_path=str(tmp_path / "x.txt"), max_contexts=bad)
-
-
 def test_worker_pool_matches_sequential(tmp_path):
     sequential = run_experiment(
         _tiny_config(tmp_path, output_path=str(tmp_path / "seq"), N=30, eval_every=30)
@@ -491,6 +469,26 @@ def test_cli_eval_rejects_sigma_not_positive_definite(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err and "positive definite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n_eval", ["2000", "5"])
+def test_cli_eval_rejects_rank_dataset_before_drawing(tmp_path, capsys, n_eval):
+    # 2000 evaluation draws would exhaust the 30-query stream before the
+    # evaluation itself could refuse an instance without theta_star.
+    data, estimate_path = tmp_path / "standin.txt", tmp_path / "estimate.npz"
+    assert cli_main(["gen-standin", "--out", str(data), "--queries", "30", "--raw-dim", "20"]) == 0
+    write_artifact(
+        estimate_path, "ridge-estimate", 2,
+        theta_hat=np.zeros(8), sigma=np.eye(8), lambda_reg=np.array(1.0), n_samples=np.array(0),
+    )
+    assert cli_main(["eval", "--env", "rank_dataset", "--data-path", str(data),
+                     "--raw-dim", "20", "--subsampled-dim", "8",
+                     "--estimate", str(estimate_path), "--n-eval", n_eval,
+                     "--out", str(tmp_path / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "requires a linear instance" in err
+    assert "exhausted" not in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("text, message", [
