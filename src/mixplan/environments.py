@@ -8,9 +8,10 @@ subsampling, norm capping, deterministic splits) together with a stand-in
 generator that emits files in the same format, so the full pipeline is
 testable without the licensed dataset.
 
-Feature indices in ranking files are 1-based on disk (the usual sparse
-convention) and 0-based everywhere in memory. Generators are pure given
-their seed; parsers are pure given the file bytes.
+Ranking files are read into columns (``RankFile``); feature indices are
+1-based on disk (the usual sparse convention) and 0-based in memory, and a
+non-finite label or value or a repeated index is rejected. Generators are
+pure given their seed; parsers are pure given the file bytes.
 
 The synthetic, random-unit and non-concentrating instances carry a
 ``ContextLaw``: the generator calls of each context, then one vectorised
@@ -22,10 +23,9 @@ plain samplers, whose batches stack the sampled contexts.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -267,13 +267,15 @@ class RankDatasetSpec:
                 f"raw_dim={self.raw_dim}")
 
 
-@dataclass
-class QueryGroup:
-    """All rows of one query: relevance labels plus sparse 0-based features."""
+class RankFile(NamedTuple):
+    """A ranking file as columns; its documents are its data lines, in order."""
 
-    qid: str
-    relevances: list = field(default_factory=list)
-    rows: list = field(default_factory=list)
+    qids: tuple  # the query ids, in first-seen order
+    query: np.ndarray  # per document: the index of its query id in ``qids``
+    labels: np.ndarray  # per document: its relevance label
+    ends: np.ndarray  # per document: the end of its entries (CSR row offset)
+    indices: np.ndarray  # per entry: a 0-based feature index
+    values: np.ndarray  # per entry: that feature's value
 
 
 @dataclass(frozen=True)
@@ -301,16 +303,21 @@ class RankIngest:
     subsample_indices: np.ndarray
 
 
-def parse_rank_file(path) -> list[QueryGroup]:
-    """Parse a sparse ranking file into query groups, preserving order.
+def parse_rank_file(path) -> RankFile:
+    """Parse a sparse ranking file into columns, preserving order.
 
     Lines look like ``label qid:<id> idx:val idx:val ...`` with 1-based
-    feature indices; ``#`` starts a comment. Malformed lines raise
-    ParseError with the line number.
+    feature indices; ``#`` starts a comment. A malformed line raises
+    ParseError with its line number as it is read. Once the whole file is
+    read, the first line with a non-finite label or value or a repeated
+    index raises ParseError: a syntax fault is reported before these even
+    when it comes later in the file.
     """
-    groups: dict[str, QueryGroup] = {}
-    path = Path(path)
-    with path.open() as handle:
+    from array import array  # an extension module: loaded by the runs that read ranking files
+    qids: dict[str, int] = {}
+    query, labels, ends, lines = array("q"), array("d"), array("q"), array("q")
+    indices, values = array("q"), array("d")
+    with Path(path).open() as handle:
         for line_number, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -325,23 +332,34 @@ def parse_rank_file(path) -> list[QueryGroup]:
             qid = parts[1][4:]
             if not qid:
                 raise ParseError("empty query id", line_number)
-            pairs = []
             for token in parts[2:]:
                 idx_str, sep, val_str = token.partition(":")
                 if not sep:
                     raise ParseError(f"expected idx:val, got {token!r}", line_number)
                 try:
-                    idx = int(idx_str)
-                    val = float(val_str)
-                except ValueError:
+                    indices.append(int(idx_str) - 1)  # OverflowError beyond 64 bits
+                    values.append(float(val_str))
+                except (ValueError, OverflowError):
                     raise ParseError(f"bad feature token {token!r}", line_number) from None
-                if idx < 1:
-                    raise ParseError(f"feature indices are 1-based, got {idx}", line_number)
-                pairs.append((idx - 1, val))
-            group = groups.setdefault(qid, QueryGroup(qid=qid))
-            group.relevances.append(label)
-            group.rows.append(pairs)
-    return list(groups.values())
+                if indices[-1] < 0:
+                    raise ParseError(f"feature indices are 1-based, got {indices[-1] + 1}",
+                                     line_number)
+            query.append(qids.setdefault(qid, len(qids)))
+            labels.append(label)
+            ends.append(len(indices))
+            lines.append(line_number)
+    parsed = RankFile(tuple(qids), *map(np.asarray, (query, labels, ends, indices, values)))
+    owner = np.repeat(np.arange(len(ends)), np.diff(parsed.ends, prepend=0))
+    order = np.lexsort((parsed.indices, owner))
+    repeats = (np.diff(parsed.indices[order]) == 0) & (np.diff(owner[order]) == 0)
+    faults = [(docs.min(), message) for docs, message in (
+        (np.flatnonzero(~np.isfinite(parsed.labels)), "non-finite label"),
+        (owner[~np.isfinite(parsed.values)], "non-finite feature value"),
+        (owner[order[1:][repeats]], "feature index given twice")) if docs.size]
+    if faults:
+        doc, message = min(faults)
+        raise ParseError(message, lines[doc])
+    return parsed
 
 
 def draw_subsample_indices(spec: RankDatasetSpec, seed: int) -> np.ndarray:
@@ -351,40 +369,37 @@ def draw_subsample_indices(spec: RankDatasetSpec, seed: int) -> np.ndarray:
     return np.sort(indices)
 
 
-def build_rank_contexts(groups: Sequence[QueryGroup], spec: RankDatasetSpec,
+def build_rank_contexts(parsed: RankFile, spec: RankDatasetSpec,
                         subsample_indices: np.ndarray) -> list[RankedContext]:
     """Densify, truncate to ``RANK_MAX_ACTIONS`` documents, subsample
     coordinates, cap norms at ``RANK_NORM_CAP``.
 
+    Queries keep their first-seen order and documents their file order.
     Rows whose post-subsampling norm exceeds the cap are rescaled onto the
-    cap; all others are left untouched. Empty query groups are skipped with
-    a warning.
+    cap; all others are left untouched.
     """
-    indices = np.asarray(subsample_indices, dtype=np.int64)
-    position = {int(orig): j for j, orig in enumerate(indices)}
+    column = np.full(spec.raw_dim, -1)
+    column[subsample_indices] = np.arange(len(subsample_indices))
+    lengths = np.diff(parsed.ends, prepend=0)
+    by_query = np.argsort(parsed.query, kind="stable")
+    query_ends = np.searchsorted(parsed.query[by_query], np.arange(len(parsed.qids) + 1))
     contexts = []
-    for group in groups:
-        if not group.rows:
-            warnings.warn(f"query {group.qid} has no documents; skipped")
-            continue
-        rows = group.rows[:RANK_MAX_ACTIONS]
-        relevances = group.relevances[:RANK_MAX_ACTIONS]
-        dense = np.zeros((len(rows), len(indices)))
-        for r, pairs in enumerate(rows):
-            for idx, val in pairs:
-                if idx >= spec.raw_dim:
-                    raise DataError(
-                        f"query {group.qid}: feature index {idx + 1} exceeds raw_dim {spec.raw_dim}"
-                    )
-                j = position.get(idx)
-                if j is not None:
-                    dense[r, j] = val
-        norms = np.linalg.norm(dense, axis=1)
-        scale = np.maximum(norms / RANK_NORM_CAP, 1.0)
+    for q, qid in enumerate(parsed.qids):
+        # The query's documents in file order, all their entries, and each entry's row.
+        docs = by_query[query_ends[q] : query_ends[q + 1]]
+        rows = np.repeat(np.arange(len(docs)), lengths[docs])
+        entries = np.arange(len(rows)) + np.repeat(parsed.ends[docs] - lengths[docs].cumsum(),
+                                                   lengths[docs])
+        feats = parsed.indices[entries]
+        if (feats >= spec.raw_dim).any():
+            raise DataError(f"query {qid}: feature index {feats[feats >= spec.raw_dim][0] + 1} "
+                            f"exceeds raw_dim {spec.raw_dim}")
+        kept = (rows < RANK_MAX_ACTIONS) & (column[feats] >= 0)
+        dense = np.zeros((min(len(docs), RANK_MAX_ACTIONS), len(subsample_indices)))
+        dense[rows[kept], column[feats[kept]]] = parsed.values[entries[kept]]
+        scale = np.maximum(np.linalg.norm(dense, axis=1) / RANK_NORM_CAP, 1.0)
         dense = dense / scale[:, None]
-        contexts.append(
-            RankedContext(Context(group.qid, dense), np.array(relevances))
-        )
+        contexts.append(RankedContext(Context(qid, dense), parsed.labels[docs[:RANK_MAX_ACTIONS]]))
     return contexts
 
 

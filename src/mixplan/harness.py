@@ -393,13 +393,6 @@ def run_experiment(config: RunConfig) -> RunResult:
     if config.environment == "stand_in":
         config = _materialize_standin(config)
 
-    output_dir = Path(
-        config.output_path
-        or f"runs/{config.environment}-{config.algorithm}-seed{config.seed}"
-    )
-    output_dir.mkdir(parents=True, exist_ok=True)
-    (output_dir / "resolved_config.json").write_text(json.dumps(config.to_dict(), indent=2))
-
     jobs = [(config.to_dict(), trial) for trial in range(config.n_trials)]
     if config.workers > 1:
         # Imported here: concurrent.futures.process pulls in multiprocessing,
@@ -411,6 +404,13 @@ def run_experiment(config: RunConfig) -> RunResult:
     else:
         per_trial = [run_trial(config, trial) for trial in range(config.n_trials)]
 
+    # The output directory is made once every trial has run: a failed run leaves none.
+    output_dir = Path(
+        config.output_path
+        or f"runs/{config.environment}-{config.algorithm}-seed{config.seed}"
+    )
+    output_dir.mkdir(parents=True, exist_ok=True)
+    (output_dir / "resolved_config.json").write_text(json.dumps(config.to_dict(), indent=2))
     rows: list[MetricRow] = [row for trial_rows in per_trial for row in trial_rows]
     _write_metrics(rows, output_dir)
     summary = summarize_rows(rows)

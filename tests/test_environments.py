@@ -1,9 +1,12 @@
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from mixplan import (
@@ -23,7 +26,6 @@ from mixplan import (
 from mixplan.environments import (
     RANK_MAX_ACTIONS,
     RANK_NORM_CAP,
-    QueryGroup,
     build_rank_contexts,
     draw_subsample_indices,
     parse_rank_file,
@@ -263,12 +265,25 @@ def test_random_unit_instance_norm_cap():
 def test_parse_single_line_format_oracle(tmp_path):
     path = tmp_path / "one.txt"
     path.write_text("2 qid:7 3:0.5 10:1.0\n")
-    groups = parse_rank_file(path)
-    assert len(groups) == 1
-    group = groups[0]
-    assert group.qid == "7"
-    assert group.relevances == [2.0]
-    assert group.rows == [[(2, 0.5), (9, 1.0)]]  # 1-based on disk, 0-based in memory
+    parsed = parse_rank_file(path)
+    assert parsed.qids == ("7",)
+    assert parsed.query.tolist() == [0]
+    assert parsed.labels.tolist() == [2.0]
+    assert parsed.ends.tolist() == [2]
+    assert parsed.indices.tolist() == [2, 9]  # 1-based on disk, 0-based in memory
+    assert parsed.values.tolist() == [0.5, 1.0]
+
+
+def test_parse_keeps_documents_in_file_order_across_interleaved_queries(tmp_path):
+    path = tmp_path / "interleaved.txt"
+    path.write_text("1 qid:b 2:0.5\n0 qid:a\n3 qid:b 1:0.25 4:1.0\n")
+    parsed = parse_rank_file(path)
+    assert parsed.qids == ("b", "a")
+    assert parsed.query.tolist() == [0, 1, 0]
+    assert parsed.labels.tolist() == [1.0, 0.0, 3.0]
+    assert parsed.ends.tolist() == [1, 1, 3]
+    assert parsed.indices.tolist() == [1, 0, 3]
+    assert parsed.values.tolist() == [0.5, 0.25, 1.0]
 
 
 @pytest.mark.parametrize(
@@ -280,6 +295,12 @@ def test_parse_single_line_format_oracle(tmp_path):
         ("2 qid:7 1-0.5", "idx:val"),
         ("2 qid:7 0:0.5", "1-based"),
         ("2 qid:7 a:0.5", "token"),
+        ("2 qid:7 99999999999999999999:0.5", "token"),
+        ("nan qid:7 1:0.5", "non-finite label"),
+        ("-inf qid:7 1:0.5", "non-finite label"),
+        ("2 qid:7 1:0.5 2:inf", "non-finite feature value"),
+        ("2 qid:7 1:0.5 1:0.25", "feature index given twice"),
+        ("2 qid:7 3:0.5 1:0.1 3:0.25", "feature index given twice"),
     ],
 )
 def test_parse_rejects_malformed_lines(tmp_path, line, fragment):
@@ -294,16 +315,38 @@ def test_parse_rejects_malformed_lines(tmp_path, line, fragment):
 def test_parse_skips_comments_and_blank_lines(tmp_path):
     path = tmp_path / "mixed.txt"
     path.write_text("# header\n\n1 qid:1 1:1.0  # trailing comment\n")
-    groups = parse_rank_file(path)
-    assert len(groups) == 1
-    assert groups[0].rows == [[(0, 1.0)]]
+    parsed = parse_rank_file(path)
+    assert parsed.qids == ("1",)
+    assert parsed.indices.tolist() == [0]
+    assert parsed.values.tolist() == [1.0]
+
+
+@pytest.mark.parametrize(
+    "text,fragment,line_number",
+    [
+        # Line 2's indices are out of order but distinct, so it is accepted.
+        ("1 qid:1 1:1.0\n1 qid:1 4:0.5 2:0.5\n1 qid:2 3:0.1 3:0.2\n"
+         "nan qid:2 5:0.1 5:inf\n", "given twice", 3),
+        # A syntax fault raises as its line is read, before the value checks.
+        ("nan qid:1 1:1.0\n" + "1 qid:1 2:0.5\n" * 8 + "1 qid:2 a:0.5\n",
+         "bad feature token", 10),
+    ],
+)
+def test_parse_names_the_first_line_of_a_later_fault(tmp_path, text, fragment, line_number):
+    # The non-finite and repeated-index checks run once the file is read and
+    # name the first line that fails any of them.
+    path = tmp_path / "late.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=fragment) as excinfo:
+        parse_rank_file(path)
+    assert excinfo.value.line_number == line_number
 
 
 def test_fixture_truncates_to_twenty_actions():
     spec = RankDatasetSpec(raw_dim=10, subsampled_dim=6)
-    groups = parse_rank_file(DATA / "rank_fixture.txt")
-    assert len(groups[0].rows) == 22
-    contexts = build_rank_contexts(groups, spec, np.array([0, 2, 3, 5, 7, 9]))
+    parsed = parse_rank_file(DATA / "rank_fixture.txt")
+    assert np.count_nonzero(parsed.query == 0) == 22
+    contexts = build_rank_contexts(parsed, spec, np.array([0, 2, 3, 5, 7, 9]))
     assert contexts[0].context.n_actions == 20
     assert contexts[1].context.n_actions == 4
     assert contexts[2].context.n_actions == 2
@@ -337,19 +380,17 @@ def test_fixture_matches_committed_golden():
         assert [[float(v) for v in row] for row in rc.context.features] == expected["features"]
 
 
-def test_build_rejects_out_of_range_indices():
-    spec = RankDatasetSpec(raw_dim=4, subsampled_dim=4)
-    group = QueryGroup(qid="q", relevances=[1.0], rows=[[(7, 0.5)]])
-    with pytest.raises(DataError):
-        build_rank_contexts([group], spec, np.arange(4))
-
-
-def test_build_skips_empty_groups_with_warning():
-    spec = RankDatasetSpec(raw_dim=4, subsampled_dim=4)
-    group = QueryGroup(qid="empty")
-    with pytest.warns(UserWarning, match="empty"):
-        contexts = build_rank_contexts([group], spec, np.arange(4))
-    assert contexts == []
+@pytest.mark.parametrize("position", [1, RANK_MAX_ACTIONS + 1])
+def test_build_rejects_out_of_range_indices(tmp_path, position):
+    # Every document is checked, also those past the first RANK_MAX_ACTIONS
+    # that the context drops.
+    path = tmp_path / "wide.txt"
+    lines = ["1 qid:q 1:0.5"] * (RANK_MAX_ACTIONS + 1)
+    lines[position - 1] = "1 qid:q 1:0.5 99:0.5"
+    path.write_text("2 qid:ok 2:0.5\n" + "\n".join(lines) + "\n")
+    spec = RankDatasetSpec(raw_dim=3, subsampled_dim=3)
+    with pytest.raises(DataError, match="^query q: feature index 99 exceeds raw_dim 3$"):
+        build_rank_contexts(parse_rank_file(path), spec, np.arange(3))
 
 
 def test_subsample_indices_deterministic_and_sorted():
@@ -391,6 +432,106 @@ def test_ingest_directory_layout(tmp_path):
     assert len(ingest.test) == 10
 
 
+def _reference_ingest(path, spec, seed):
+    """A single ranking file's (train, valid, test) splits as the per-document
+    loop made them before ranking files were read as columns: one group of
+    ``(idx, val)`` lists per query, densified a document and an entry at a
+    time. Each context is a ``(qid, features, relevance)`` triple."""
+    groups = {}
+    for raw in Path(path).read_text().split("\n"):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            label, qid, *tokens = line.split()
+            relevances, rows = groups.setdefault(qid[4:], ([], []))
+            relevances.append(float(label))
+            rows.append([(int(t.split(":")[0]) - 1, float(t.split(":")[1])) for t in tokens])
+    subsample = draw_subsample_indices(spec, seed)
+    position = {int(orig): j for j, orig in enumerate(subsample)}
+    contexts = []
+    for qid, (relevances, rows) in groups.items():
+        rows = rows[:RANK_MAX_ACTIONS]
+        dense = np.zeros((len(rows), len(subsample)))
+        for r, pairs in enumerate(rows):
+            for idx, val in pairs:
+                j = position.get(idx)
+                if j is not None:
+                    dense[r, j] = val
+        norms = np.linalg.norm(dense, axis=1)
+        scale = np.maximum(norms / RANK_NORM_CAP, 1.0)
+        dense = dense / scale[:, None]
+        contexts.append((qid, dense, np.array(relevances[:RANK_MAX_ACTIONS])))
+    order = np.random.default_rng(seed).permutation(len(contexts))
+    n_train, n_valid = int(0.6 * len(contexts)), int(0.2 * len(contexts))
+    return [[contexts[i] for i in part]
+            for part in np.split(order, [n_train, n_train + n_valid])]
+
+
+def _assert_matches_reference(path, spec, seed):
+    ingest = ingest_rank_dataset(path, spec, seed=seed)
+    splits = (ingest.train, ingest.valid, ingest.test)
+    for split, expected in zip(splits, _reference_ingest(path, spec, seed), strict=True):
+        assert [rc.context.context_id for rc in split] == [qid for qid, _, _ in expected]
+        for rc, (_, features, relevance) in zip(split, expected):
+            assert rc.context.features.shape == features.shape
+            assert rc.context.features.tobytes() == features.tobytes()
+            assert rc.relevance.tobytes() == relevance.tobytes()
+
+
+@pytest.mark.parametrize("raw_dim, subsampled_dim, n_queries", [(700, 300, 60), (30, 12, 80)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ingest_matches_per_document_reference_on_standin_files(tmp_path, raw_dim,
+                                                                subsampled_dim, n_queries, seed):
+    path = tmp_path / "standin.txt"
+    generate_standin_file(path, n_queries=n_queries, seed=seed + 11, raw_dim=raw_dim)
+    _assert_matches_reference(path, RankDatasetSpec(raw_dim, subsampled_dim), seed)
+
+
+def test_ingest_matches_per_document_reference_on_the_fixture():
+    golden = json.loads((DATA / "rank_fixture_golden.json").read_text())
+    spec = RankDatasetSpec(golden["spec"]["raw_dim"], golden["spec"]["subsampled_dim"])
+    for seed in (0, 1):
+        _assert_matches_reference(DATA / "rank_fixture.txt", spec, seed)
+
+
+_RANK_DOCUMENT = st.tuples(
+    st.sampled_from(["a", "b", "7"]),
+    st.integers(0, 4),
+    st.dictionaries(st.integers(1, 12), st.floats(-5.0, 5.0, allow_nan=False), max_size=6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_query=st.lists(_RANK_DOCUMENT, min_size=RANK_MAX_ACTIONS + 1, max_size=30),
+       others=st.lists(_RANK_DOCUMENT, max_size=30), subsampled_dim=st.integers(1, 12),
+       seed=st.integers(0, 3), data=st.data())
+def test_ingest_matches_per_document_reference_on_generated_files(long_query, others,
+                                                                  subsampled_dim, seed, data):
+    # Queries interleave line by line; documents may have no features or
+    # indices out of order, and query "long" has more than RANK_MAX_ACTIONS.
+    documents = data.draw(st.permutations(
+        [("long", label, feats) for _, label, feats in long_query] + others))
+    text = "".join(f"{label} qid:{qid} " + " ".join(f"{i}:{v!r}" for i, v in feats.items())
+                   + "\n" for qid, label, feats in documents)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "generated.txt"
+        path.write_text(text)
+        _assert_matches_reference(path, RankDatasetSpec(12, subsampled_dim), seed)
+
+
+def test_ingest_rejects_non_finite_values_in_dropped_coordinates(tmp_path):
+    # An inf in a coordinate the subsample drops once never reached a check.
+    path = tmp_path / "standin.txt"
+    generate_standin_file(path, n_queries=40, seed=3, raw_dim=30)
+    spec = RankDatasetSpec(raw_dim=30, subsampled_dim=12)
+    dropped = min(set(range(30)) - set(draw_subsample_indices(spec, 0).tolist()))
+    n_lines = len(path.read_text().splitlines())
+    with path.open("a") as handle:
+        handle.write(f"1 qid:extra {dropped + 1}:inf\n")
+    with pytest.raises(ParseError, match="non-finite feature value") as excinfo:
+        ingest_rank_dataset(path, spec, seed=0)
+    assert excinfo.value.line_number == n_lines + 1
+
+
 def test_ingest_missing_path_message():
     with pytest.raises(ConfigurationError, match="stand-in"):
         ingest_rank_dataset("/nonexistent/data.txt")
@@ -402,10 +543,9 @@ def test_standin_file_is_deterministic(tmp_path):
     generate_standin_file(a, n_queries=15, seed=5, raw_dim=40)
     generate_standin_file(b, n_queries=15, seed=5, raw_dim=40)
     assert a.read_bytes() == b.read_bytes()
-    groups = parse_rank_file(a)
-    assert len(groups) == 15
-    relevances = {r for g in groups for r in g.relevances}
-    assert relevances <= {0.0, 1.0, 2.0, 3.0, 4.0}
+    parsed = parse_rank_file(a)
+    assert len(parsed.qids) == 15
+    assert set(parsed.labels.tolist()) <= {0.0, 1.0, 2.0, 3.0, 4.0}
 
 
 def test_rank_instance_streams_and_rewards(tmp_path):

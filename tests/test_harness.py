@@ -612,6 +612,35 @@ def test_cli_sample_binary_is_written_to_the_exact_path(tmp_path):
     assert np.array_equal(reread.rewards(), written.rewards())
 
 
+@pytest.mark.parametrize("fault, line_number", [("nan-label", 1), ("repeated-index", 5)])
+@pytest.mark.parametrize("command", ["ingest-ltr", "run-experiment"])
+def test_cli_rejects_malformed_ranking_files(tmp_path, capsys, command, fault, line_number):
+    # A nan label once reached the planner's run, which wrote its metrics;
+    # a repeated index kept its last value. Both are refused as the file is
+    # read, before any output is made.
+    data = tmp_path / "standin.txt"
+    generate_standin_file(data, n_queries=40, seed=3, raw_dim=30)
+    lines = data.read_text().splitlines()
+    if fault == "nan-label":
+        lines[0] = "nan " + lines[0].split(" ", 1)[1]
+    else:
+        lines[4] += " " + lines[4].split()[2]
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    args = {
+        "ingest-ltr": ["ingest-ltr", "--path", str(data), "--raw-dim", "30",
+                       "--subsampled-dim", "12", "--export", str(out / "bundle")],
+        "run-experiment": ["run-experiment", "--environment", "rank_dataset",
+                           "--algorithm", "planner_sampler", "--data-path", str(data),
+                           "--N", "24", "--eval-every", "12"],
+    }[command]
+    assert cli_main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line_number}:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_gen_standin_splits_feed_ingest(tmp_path):
     from mixplan.environments import SPLIT_FILES
 
