@@ -8,21 +8,25 @@ contexts (only ``RandomPolicy`` draws anything), ``decide(contexts,
 draws)`` picks every action of the run in one pass, and ``action(context,
 rng)`` is the one-context case of the two. The oracle is no
 policy: ``full_feedback`` collects the reward of every action of each
-context, and the harness ridge-fits prefixes of it as it fits prefixes of
-``sample``'s dataset.
+context into one exploded ``InteractionDataset``, and the harness
+ridge-fits its prefixes as it fits prefixes of ``sample``'s dataset.
 """
 
 from __future__ import annotations
 
-import logging
 from typing import Sequence
 
 import numpy as np
 
-from .core import BanditInstance, Context, action_counts, context_ids, feature_rows
+from .core import (
+    BanditInstance,
+    Context,
+    InteractionDataset,
+    action_counts,
+    context_ids,
+    feature_rows,
+)
 from .covariance import _context_blocks
-
-logger = logging.getLogger(__name__)
 
 
 class RandomPolicy:
@@ -58,43 +62,31 @@ class LargestNormPolicy:
 
 
 class SingleActionPolicy:
-    """Always the fixed index, clamped to the available actions if needed."""
-
-    def __init__(self, fixed_index: int = 0):
-        self.fixed_index = int(fixed_index)
+    """Always action 0, which every context has."""
 
     def draw(self, rng: np.random.Generator, n_actions) -> None:
         return None
 
     def decide(self, contexts: Sequence[Context], draws=None) -> np.ndarray:
-        clamped = np.clip(self.fixed_index, 0, action_counts(contexts) - 1)
-        unavailable = np.flatnonzero(clamped != self.fixed_index)
-        if len(unavailable):
-            ids = context_ids(contexts)
-            for i in unavailable.tolist():
-                logger.warning(
-                    "fixed action %d unavailable in context %s; clamping to %d",
-                    self.fixed_index, ids[i], clamped[i],
-                )
-        return clamped
+        return np.zeros(len(contexts), dtype=np.int64)
 
     def action(self, context: Context, rng: np.random.Generator) -> int:
         return int(self.decide([context], self.draw(rng, [context.n_actions]))[0])
 
 
 def full_feedback(instance: BanditInstance, n: int,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The full-feedback supervised oracle's data: the (R, d) feature rows
-    and the R rewards of every action of the next n contexts, in context
-    then action order, and ``ends``, where ``ends[i]`` is the row count of
+                  rng: np.random.Generator) -> tuple[InteractionDataset, np.ndarray]:
+    """The full-feedback supervised oracle's data: the exploded dataset of
+    the next n contexts, one row per (context, action) in context then
+    action order, each with the context's id, the action index, its feature
+    row and its reward; and ``ends``, where ``ends[i]`` is the row count of
     the first i + 1 contexts.
 
     The stream is the one ``BanditInstance.reward`` of every action of each
     context would draw: each context's own draws, then, for a noisy
     instance, one ``standard_normal(A)`` call for its A rewards. A ridge fit
-    on the first ``ends[i]`` rows equals ``ridge_fit`` on the exploded
-    dataset of the first i + 1 contexts, one row per (context, action); it
-    is an approximate upper bound for the bandit-feedback strategies.
+    on ``dataset[:ends[i]]`` is an approximate upper bound for the
+    bandit-feedback strategies at i + 1 contexts.
     """
     law, noisy = instance.law, instance.noisy
     draws, normals = [], []
@@ -104,4 +96,9 @@ def full_feedback(instance: BanditInstance, n: int,
             normals.append(rng.standard_normal(law.n_actions(draws[-1])))
     contexts = instance.build_contexts(draws)
     rewards = instance.rewards(contexts, None, np.concatenate(normals) if normals else None)
-    return feature_rows(contexts), rewards, np.cumsum(action_counts(contexts))
+    counts = action_counts(contexts)
+    ends = np.cumsum(counts)
+    ids = [cid for cid, count in zip(context_ids(contexts), counts.tolist())
+           for _ in range(count)]
+    actions = np.arange(len(ids)) - np.repeat(ends - counts, counts)
+    return InteractionDataset(instance.d, ids, actions, feature_rows(contexts), rewards), ends

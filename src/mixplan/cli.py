@@ -74,8 +74,8 @@ def _build_env(args):
 
 def _cmd_plan(args) -> int:
     instance, pool, norm_cap = _build_env(args)
-    config = ExperimentConfig(M=args.M, N=args.N or args.M, lambda_reg=args.lambda_reg,
-                              alpha=args.alpha)
+    config = ExperimentConfig(M=args.M, N=args.M if args.N is None else args.N,
+                              lambda_reg=args.lambda_reg, alpha=args.alpha)
     if pool is None:
         rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(0,)))
         contexts = instance.draw_contexts(rng, config.M)
@@ -221,14 +221,6 @@ def _cmd_gen_standin(args) -> int:
 def _cmd_ingest_ltr(args) -> int:
     spec = RankDatasetSpec(raw_dim=args.raw_dim, subsampled_dim=args.subsampled_dim)
     ingest = ingest_rank_dataset(args.path, spec, args.seed)
-    summary = {
-        "n_train": len(ingest.train),
-        "n_valid": len(ingest.valid),
-        "n_test": len(ingest.test),
-        "subsample_indices": [int(i) for i in ingest.subsample_indices],
-        "max_actions": RANK_MAX_ACTIONS,
-    }
-    Path(args.out).write_text(json.dumps(summary, indent=2))
     if args.export:
         for name, split in (("train", ingest.train), ("valid", ingest.valid),
                             ("test", ingest.test)):
@@ -241,6 +233,15 @@ def _cmd_ingest_ltr(args) -> int:
                 offsets=np.cumsum([0] + [rc.context.n_actions for rc in split]),
                 relevance=np.concatenate([rc.relevance for rc in split]),
             )
+    # The summary is written last, so a failed export leaves none behind.
+    summary = {
+        "n_train": len(ingest.train),
+        "n_valid": len(ingest.valid),
+        "n_test": len(ingest.test),
+        "subsample_indices": [int(i) for i in ingest.subsample_indices],
+        "max_actions": RANK_MAX_ACTIONS,
+    }
+    Path(args.out).write_text(json.dumps(summary, indent=2))
     print(f"ingested {summary['n_train']}/{summary['n_valid']}/{summary['n_test']} "
           f"train/valid/test queries -> {args.out}")
     return 0

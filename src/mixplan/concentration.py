@@ -298,7 +298,7 @@ def offline_context_requirement(d: int, N: int, lambda_reg: float, delta: float)
     _check_delta(delta)
     M = 1.0
     for _ in range(_REQUIREMENT_ROUNDS):
-        K = max(1.0, d * math.log2(1.0 + M / (d * lambda_reg)))
+        K = max(1.0, switch_count_budget(d, M, lambda_reg))
         target = (96.0 * K * N / lambda_reg) * math.log(
             192.0 * d * N * K / (lambda_reg * delta)
         )

@@ -386,6 +386,14 @@ class InteractionDataset:
     def __len__(self) -> int:
         return len(self.context_ids)
 
+    def __getitem__(self, index: slice) -> "InteractionDataset":
+        """The steps a slice selects, as a dataset of views of these columns:
+        no feature, action or reward is copied."""
+        if not isinstance(index, slice):
+            raise TypeError(f"a dataset takes slices only, got {type(index).__name__}")
+        return InteractionDataset(self.d, self.context_ids[index], self.actions[index],
+                                  self._features[index], self._rewards[index])
+
     def __iter__(self):
         return map(InteractionRecord, self.context_ids, self.actions.tolist(), self._features,
                    self._rewards.tolist())

@@ -2,8 +2,10 @@
 
 Fits theta_hat by regularized least squares on an interaction dataset and
 Monte-Carlo estimates the expected maximum uncertainty, policy value, and
-suboptimality of the extracted greedy policy over a held-out context set. Every application of the inverse covariance goes
-through a factorization solve.
+suboptimality of the extracted greedy policy over a held-out context set.
+Every application of the inverse covariance goes through a factorization
+solve. The harness fits prefixes ``dataset[:n]`` of one collected dataset,
+whose columns are views, so no fit copies its rows.
 
 The ridge solve calls LAPACK ``dpotrf`` and ``dpotrs`` directly, the two
 calls ``scipy.linalg.cho_solve(cho_factor(m, lower=True), rhs)`` makes, from
@@ -18,19 +20,21 @@ of about ``covariance._BLOCK_FLOATS`` floats (``covariance._context_blocks``,
 which the planner shares), and each block keeps its features, its true
 values (theta_star's scores or given labels, checked for shape and
 finiteness) and their maximum. The harness builds one set per trial and
-evaluates every estimate on it; ``evaluate`` also takes a plain list of
-contexts, stacked on the spot one block at a time (so no more than one block
-is held at once), while ``evaluate_values`` takes only a set. Each evaluation
-takes one stacked score product and one triangular solve per block. Where
-at least half of a block's feature rows are all zero (five of the ten
-actions of every synthetic context), the set keeps a copy of the other,
-live, rows, made once when it is stacked; the solve then holds only those,
-and the zero rows' norm is written as 0.0, the value their solve gives. The
-solve rules live in one kernel, ``covariance._block_norms``, which the
-planner shares: a column of a solve rounds the same as long as the solve
-holds two or more columns, so a block left with a single live row is solved
-in full, and contexts with a single action keep one solve each. Every
-output is bit-identical to scoring and solving one context at a time.
+evaluates every estimate on it. ``evaluate`` takes a set whose truth is the
+instance's (theta_star's scores for a linear instance, recorded values for
+a labelled one) or, for a linear instance, a plain list of contexts,
+stacked on the spot one block at a time (so no more than one block is held
+at once). Each evaluation takes one stacked score product and one
+triangular solve per block. Where at least half of a block's feature rows
+are all zero (five of the ten actions of every synthetic context), the set
+keeps a copy of the other, live, rows, made once when it is stacked; the
+solve then holds only those, and the zero rows' norm is written as 0.0, the
+value their solve gives. The solve rules live in one kernel,
+``covariance._block_norms``, which the planner shares: a column of a solve
+rounds the same as long as the solve holds two or more columns, so a block
+left with a single live row is solved in full, and contexts with a single
+action keep one solve each. Every output is bit-identical to scoring and
+solving one context at a time.
 """
 
 from __future__ import annotations
@@ -99,17 +103,10 @@ def ridge_fit(dataset: InteractionDataset, lambda_reg: float) -> RidgeEstimate:
     """Solve (Phi^T Phi + lambda I) theta = Phi^T r via a Cholesky solve.
 
     An empty dataset is allowed and yields theta_hat = 0, the ridge solution.
+    A prefix ``dataset[:n]`` fits its columns' views in place, with the same
+    bits as a dataset built from the first n steps.
     """
-    return ridge_fit_arrays(dataset.feature_matrix(), dataset.rewards(), lambda_reg)
-
-
-def ridge_fit_arrays(features: np.ndarray, rewards: np.ndarray,
-                     lambda_reg: float) -> RidgeEstimate:
-    """``ridge_fit`` on an (n, d) feature matrix and its n rewards.
-
-    Prefix slices ``features[:n]``, ``rewards[:n]`` of one stacked dataset
-    give the same bits as ``ridge_fit`` on a dataset of its first n steps.
-    """
+    features, rewards = dataset.feature_matrix(), dataset.rewards()
     if lambda_reg <= 0:
         raise ConfigurationError("lambda_reg must be positive")
     n, d = features.shape
@@ -243,35 +240,27 @@ def evaluate(estimate: RidgeEstimate, instance: BanditInstance,
              eval_contexts: Sequence[Context] | EvaluationSet) -> EvaluationReport:
     """Average per-context max uncertainty, suboptimality gap, and greedy value.
 
-    Evaluation is noiseless: values and gaps are inner products with
-    theta_star, so a perfectly estimated parameter yields zero gap exactly.
-    ``eval_contexts`` is an ``EvaluationSet`` built from the instance's
-    theta_star, or a list of contexts, stacked block by block on the spot.
+    Evaluation is noiseless: values and gaps are read from the true values,
+    so a perfectly estimated parameter yields zero gap exactly.
+    ``eval_contexts`` is an ``EvaluationSet`` whose truth is the instance's:
+    built from its theta_star for a linear instance, or from recorded true
+    values (relevance labels, say) for a labelled one. It may also be a list
+    of contexts of a linear instance, scored by theta_star and stacked block
+    by block on the spot.
     """
-    if instance.theta_star is None:
+    if isinstance(eval_contexts, EvaluationSet):
+        truth, theta_star = eval_contexts.theta_star, instance.theta_star
+        if (truth is None) != (theta_star is None) or (
+                truth is not None and not np.array_equal(truth, theta_star)):
+            raise ContractViolation(
+                "the evaluation set's truth is not the instance's: a linear instance needs a set "
+                "built from its theta_star, a labelled one a set of recorded true values")
+        d, n, blocks = eval_contexts.d, eval_contexts.n, eval_contexts.blocks
+    elif instance.theta_star is None:
         raise ContractViolation(
-            "evaluation against theta_star requires a linear instance"
-        )
-    if not isinstance(eval_contexts, EvaluationSet):
-        return _evaluate_blocks(estimate, *_stack(eval_contexts, instance.theta_star, None))
-    if (eval_contexts.theta_star is None
-            or not np.array_equal(eval_contexts.theta_star, instance.theta_star)):
-        raise ContractViolation("the evaluation set was not built from this instance's theta_star")
-    return _evaluate_blocks(estimate, eval_contexts.d, eval_contexts.n, eval_contexts.blocks)
-
-
-def evaluate_values(estimate: RidgeEstimate, eval_set: EvaluationSet) -> EvaluationReport:
-    """``evaluate`` against the true values ``eval_set`` holds: theta_star
-    scores, or recorded relevance labels for a data-driven instance."""
-    if not isinstance(eval_set, EvaluationSet):
-        raise ContractViolation(
-            f"evaluate_values takes an EvaluationSet, got {type(eval_set).__name__}")
-    return _evaluate_blocks(estimate, eval_set.d, eval_set.n, eval_set.blocks)
-
-
-def _evaluate_blocks(estimate: RidgeEstimate, d: int, n: int, blocks) -> EvaluationReport:
-    """The evaluation loop of ``evaluate`` and ``evaluate_values``, over the
-    blocks of an evaluation set of n contexts of dimension d."""
+            "evaluation of a context list against theta_star requires a linear instance")
+    else:
+        d, n, blocks = _stack(eval_contexts, instance.theta_star, None)
     if d != estimate.d:
         raise ContractViolation(
             f"evaluation context dimension {d} != estimate dimension {estimate.d}")

@@ -4,16 +4,18 @@ Runs multi-seed trials of one (environment, algorithm) pair and emits
 metric rows plus a summary with mean and standard error across trials.
 A trial generates or ingests the environment, plans the collection policy
 on an independent offline context stream, collects all of its online data
-in one ``sample`` call, stacks it into one feature matrix, and then, at
-every evaluation point n, ridge-fits the first n rows of that matrix and
-evaluates the extracted greedy policy. The held-out contexts and their
-true values are stacked into an ``estimator.EvaluationSet`` (the trial
-keeps only the set), so each evaluation point only scores and solves: once
-per trial for simulated instances, and once per ingest for ranking data,
-whose cache keeps the set in place of the test split. The supervised
-oracle collects with ``baselines.full_feedback`` instead, the reward of
-every action of each context, and its fit at point n takes the rows of the
-first n contexts.
+into one dataset with one ``sample`` call, and then, at every evaluation
+point n, ridge-fits the dataset's first n steps (``dataset[:n]``, views of
+its columns) and evaluates the extracted greedy policy. The held-out
+contexts and their true values are stacked into an
+``estimator.EvaluationSet`` (the trial keeps only the set), so each
+evaluation point only scores and solves: once per trial for simulated
+instances, and once per ingest for ranking data, whose cache keeps the set
+in place of the test split. The suboptimality gap is reported where the
+set holds theta_star's scores, not for recorded relevance labels. The
+supervised oracle collects with ``baselines.full_feedback`` instead, one
+exploded dataset of the reward of every action of each context, and its
+fit at point n takes the rows of the first n contexts.
 
 Each trial owns one master seed, split deterministically into environment,
 offline-stream, online-stream, policy, and evaluation streams. The online
@@ -36,7 +38,7 @@ import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -48,14 +50,7 @@ from .core import (
     ExperimentConfig,
     InteractionDataset,
 )
-from .estimator import (
-    EvaluationReport,
-    EvaluationSet,
-    RidgeEstimate,
-    evaluate,
-    evaluate_values,
-    ridge_fit_arrays,
-)
+from .estimator import EvaluationSet, evaluate, ridge_fit
 from .environments import (
     SPLIT_FILES,
     RankDatasetSpec,
@@ -181,8 +176,7 @@ class _TrialEnv:
     offline_contexts: Sequence[Context]
     horizon: int
     norm_cap: Optional[float]
-    evaluate_estimate: Callable[[RidgeEstimate], EvaluationReport]
-    reports_gap: bool = True
+    eval_set: EvaluationSet
 
 
 def _linear_env(instance: BanditInstance, config: RunConfig, seeds) -> _TrialEnv:
@@ -199,7 +193,7 @@ def _linear_env(instance: BanditInstance, config: RunConfig, seeds) -> _TrialEnv
         offline_contexts=offline_contexts,
         horizon=config.N,
         norm_cap=norm_cap,
-        evaluate_estimate=lambda estimate: evaluate(estimate, instance, eval_set),
+        eval_set=eval_set,
     )
 
 
@@ -223,8 +217,7 @@ def _rank_env(rank_data, config: RunConfig, seeds) -> _TrialEnv:
         offline_contexts=offline_contexts,
         horizon=horizon,
         norm_cap=1.0,
-        evaluate_estimate=lambda estimate: evaluate_values(estimate, eval_set),
-        reports_gap=False,
+        eval_set=eval_set,
     )
 
 
@@ -311,18 +304,17 @@ def run_trial(config: RunConfig, trial: int) -> list[MetricRow]:
 
     start = time.perf_counter()
     if policy is None:
-        features, rewards, ends = full_feedback(env.instance, env.horizon, stream_rng)
+        dataset, ends = full_feedback(env.instance, env.horizon, stream_rng)
         prefix_rows = ends[np.array(points) - 1].tolist()
     else:
         dataset = sample(policy, env.instance, env.horizon, stream_rng,
                          policy_rng=np.random.default_rng(s_policy))
-        features, rewards = dataset.feature_matrix(), dataset.rewards()
         prefix_rows = points
     rows: list[MetricRow] = []
     for n, end in zip(points, prefix_rows):
-        estimate = ridge_fit_arrays(features[:end], rewards[:end], config.lambda_reg)
-        report = env.evaluate_estimate(estimate)
-        gap = report.expected_suboptimality if env.reports_gap else None
+        estimate = ridge_fit(dataset[:end], config.lambda_reg)
+        report = evaluate(estimate, env.instance, env.eval_set)
+        gap = report.expected_suboptimality if env.eval_set.theta_star is not None else None
         rows.append(
             MetricRow(
                 trial=trial,

@@ -1,5 +1,3 @@
-import logging
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,6 @@ from mixplan import (
     sample,
 )
 from mixplan.core import InteractionRecord
-from mixplan.estimator import ridge_fit_arrays
 
 from conftest import make_context, make_dataset, unit_ball_contexts
 
@@ -58,19 +55,6 @@ def test_largest_norm_matches_scan_oracle(rng):
         assert LargestNormPolicy().action(context, rng) == oracle
 
 
-def test_single_action_fixed_and_clamped(caplog, rng):
-    context = make_context(np.eye(5))
-    assert SingleActionPolicy(0).action(context, rng) == 0
-    assert SingleActionPolicy(3).action(context, rng) == 3
-    with caplog.at_level(logging.WARNING):
-        assert SingleActionPolicy(99).action(context, rng) == 4
-    assert "clamping to 4" in caplog.text
-    caplog.clear()
-    with caplog.at_level(logging.WARNING):
-        assert SingleActionPolicy(-2).action(context, rng) == 0
-    assert "clamping to 0" in caplog.text
-
-
 def _streaming_instance(theta, contexts, noise_std):
     stream = iter(contexts)
     return BanditInstance(d=len(theta), theta_star=np.asarray(theta, dtype=np.float64),
@@ -81,9 +65,9 @@ def test_supervised_oracle_recovers_theta_on_span(rng):
     theta = np.array([1.0, -2.0, 0.5, 0.0])
     contexts = unit_ball_contexts(rng, 50, 4, 5)
     instance = _streaming_instance(theta, contexts, noise_std=0.0)
-    features, rewards, ends = full_feedback(instance, 50, rng)
-    assert features.shape == (50 * 5, 4) and ends[-1] == 50 * 5
-    estimate = ridge_fit_arrays(features, rewards, 1e-8)
+    dataset, ends = full_feedback(instance, 50, rng)
+    assert dataset.feature_matrix().shape == (50 * 5, 4) and ends[-1] == 50 * 5
+    estimate = ridge_fit(dataset, 1e-8)
     assert np.linalg.norm(estimate.theta_hat - theta) < 1e-6
 
 
@@ -94,7 +78,7 @@ def test_supervised_oracle_recovers_theta_on_span(rng):
 def test_supervised_oracle_equals_ridge_on_exploded_dataset(rng, action_counts, points):
     contexts = [unit_ball_contexts(rng, 1, 3, a)[0] for a in action_counts]
     instance = _streaming_instance([0.3, -0.1, 0.8], contexts, noise_std=1.0)
-    features, rewards, ends = full_feedback(instance, points[-1], np.random.default_rng(7))
+    dataset, ends = full_feedback(instance, points[-1], np.random.default_rng(7))
     assert ends.tolist() == np.cumsum(action_counts).tolist()
     replay = np.random.default_rng(7)
     records = []
@@ -104,8 +88,11 @@ def test_supervised_oracle_equals_ridge_on_exploded_dataset(rng, action_counts, 
             records.append(
                 InteractionRecord(context.context_id, a, context.features[a], reward)
             )
+    # Every row of the exploded dataset is the per-reward loop's record.
+    assert [(r.context_id, r.action_index, r.feature.tobytes(), r.reward) for r in dataset] == [
+        (r.context_id, r.action_index, r.feature.tobytes(), r.reward) for r in records]
     for n in points:
-        estimate = ridge_fit_arrays(features[:ends[n - 1]], rewards[:ends[n - 1]], 0.5)
+        estimate = ridge_fit(dataset[:ends[n - 1]], 0.5)
         direct = ridge_fit(make_dataset(3, records[: sum(action_counts[:n])]), 0.5)
         assert np.array_equal(estimate.theta_hat, direct.theta_hat)
         assert estimate.sigma_prime_n.matrix.tobytes() == direct.sigma_prime_n.matrix.tobytes()
@@ -118,11 +105,14 @@ def test_full_feedback_reads_a_ranking_instance_labels(tmp_path):
     served = [train[i] for i in order]
     stream = np.random.default_rng(5)
     state = stream.bit_generator.state
-    features, rewards, ends = full_feedback(make_rank_instance(train, order=order),
-                                            len(served), stream)
-    assert features.tobytes() == np.concatenate(
+    dataset, ends = full_feedback(make_rank_instance(train, order=order), len(served), stream)
+    assert dataset.feature_matrix().tobytes() == np.concatenate(
         [rc.context.features for rc in served]).tobytes()
-    assert rewards.tobytes() == np.concatenate([rc.relevance for rc in served]).tobytes()
+    assert dataset.rewards().tobytes() == np.concatenate(
+        [rc.relevance for rc in served]).tobytes()
+    assert dataset.context_ids == [rc.context.context_id for rc in served
+                                   for _ in range(rc.context.n_actions)]
+    assert dataset.actions.tolist() == [a for rc in served for a in range(rc.context.n_actions)]
     assert ends.tolist() == np.cumsum([rc.context.n_actions for rc in served]).tolist()
     assert stream.bit_generator.state == state
 
@@ -130,7 +120,7 @@ def test_full_feedback_reads_a_ranking_instance_labels(tmp_path):
 def test_baselines_produce_valid_datasets_through_sampler():
     instance = make_synthetic(11)
     rng = np.random.default_rng(12)
-    for policy in (RandomPolicy(), LargestNormPolicy(), SingleActionPolicy(0)):
+    for policy in (RandomPolicy(), LargestNormPolicy(), SingleActionPolicy()):
         dataset = sample(policy, instance, 50, rng)
         assert len(dataset) == 50
         assert dataset.d == instance.d
@@ -143,9 +133,9 @@ def test_single_action_policy_matches_histogram():
     from mixplan import emit_action_histogram
 
     instance = make_synthetic(13)
-    dataset = sample(SingleActionPolicy(2), instance, 40, np.random.default_rng(3))
+    dataset = sample(SingleActionPolicy(), instance, 40, np.random.default_rng(3))
     histogram = emit_action_histogram(dataset)
-    assert histogram["frequencies"][2] == 1.0
+    assert histogram["frequencies"][0] == 1.0
 
 
 def test_supervised_oracle_soft_upper_bound_at_equal_samples(tmp_path):

@@ -37,7 +37,7 @@ from mixplan import (
 from mixplan import sampler as sampler_module
 from mixplan.core import ContextBatch
 from mixplan.environments import synthetic_action_layout
-from mixplan.estimator import EvaluationSet, evaluate, evaluate_values
+from mixplan.estimator import EvaluationSet, evaluate
 
 from conftest import make_dataset, unit_ball_contexts
 
@@ -197,7 +197,7 @@ def _policies(instance, M=120):
     mixture, _ = plan(offline, ExperimentConfig(M=M, N=M, lambda_reg=0.5, alpha=1.0),
                       norm_cap=None)
     return {"mixture": mixture, "random": RandomPolicy(), "largest_norm": LargestNormPolicy(),
-            "single_action": SingleActionPolicy(1)}
+            "single_action": SingleActionPolicy()}
 
 
 SAMPLE_INSTANCES = {
@@ -308,15 +308,17 @@ def test_evaluation_set_on_a_batch_equals_one_on_a_list(name):
         InteractionRecord(f"t{i}", 0, rng.normal(size=d), float(rng.normal())) for i in range(40)
     ]), 1.0)
     labels = [rng.normal(size=batch.n_actions) for _ in range(len(batch))]
+    labelled = BanditInstance(d=d, theta_star=None, context_sampler=lambda rng: batch[0],
+                              labels=dict(zip(batch.ids, labels)))
     reports = [
         evaluate(estimate, instance, EvaluationSet(batch, theta_star=theta)),
         evaluate(estimate, instance, batch),
-        evaluate_values(estimate, EvaluationSet(batch, true_values=labels)),
+        evaluate(estimate, labelled, EvaluationSet(batch, true_values=labels)),
     ]
     references = [
         evaluate(estimate, instance, EvaluationSet(_fresh_list(batch), theta_star=theta)),
         evaluate(estimate, instance, _fresh_list(batch)),
-        evaluate_values(estimate, EvaluationSet(_fresh_list(batch), true_values=labels)),
+        evaluate(estimate, labelled, EvaluationSet(_fresh_list(batch), true_values=labels)),
     ]
     for report, reference in zip(reports, references):
         assert report == reference

@@ -215,6 +215,27 @@ def test_dataset_append_gives_the_constructor_dataset():
         assert a.feature.tobytes() == b.feature.tobytes()
 
 
+@pytest.mark.parametrize("start, stop", [(0, 5), (1, 4), (3, 3), (2, 40), (None, -2)])
+def test_dataset_slice_is_read_only_views_of_its_steps(start, stop):
+    rng = np.random.default_rng(8)
+    ids, actions = ["a", "b", "a", "c", "d"], [2, 0, 5, 1, 1]
+    features, rewards = rng.normal(size=(5, 3)), rng.normal(size=5)
+    dataset = InteractionDataset(3, ids, actions, features, rewards)
+    part = dataset[start:stop]
+    steps = slice(start, stop)
+    built = InteractionDataset(3, ids[steps], actions[steps], features[steps].copy(),
+                               rewards[steps].copy())
+    assert part.d == 3 and part.context_ids == built.context_ids
+    for column, whole, reference in ((part.actions, dataset.actions, built.actions),
+                                     (part.feature_matrix(), features, built.feature_matrix()),
+                                     (part.rewards(), rewards, built.rewards())):
+        assert column.tobytes() == reference.tobytes() and column.shape == reference.shape
+        assert column.base is whole
+        assert not column.flags.writeable
+    with pytest.raises(TypeError, match="slices only"):
+        dataset[0]
+
+
 def test_config_alpha_defaults_to_budget_ratio():
     config = ExperimentConfig(M=200, N=50, lambda_reg=1.0)
     assert config.alpha == pytest.approx(0.25)

@@ -28,7 +28,7 @@ from mixplan import (
     make_synthetic,
     ridge_fit,
 )
-from mixplan.estimator import EvaluationSet, evaluate_values, ridge_fit_arrays
+from mixplan.estimator import EvaluationSet
 
 from conftest import make_context, make_dataset, unit_ball_contexts
 
@@ -92,10 +92,9 @@ def test_ridge_fit_rejects_bad_inputs():
     # A finite Gram matrix of 1e200 entries that swallows lambda_reg: singular.
     ([[1e100, 1e100]], [1.0], "not positive definite"),
 ], ids=["gram-overflow", "rhs-overflow", "not-positive-definite"])
-def test_ridge_fit_arrays_raises_data_error_on_unsolvable_normal_equations(
-        features, rewards, message):
+def test_ridge_fit_raises_data_error_on_unsolvable_normal_equations(features, rewards, message):
     with pytest.raises(DataError, match=message):
-        ridge_fit_arrays(np.array(features), np.array(rewards), 1.0)
+        ridge_fit(_dataset(features, rewards), 1.0)
 
 
 def test_greedy_action_basic():
@@ -128,6 +127,16 @@ def _instance_with_contexts(theta, contexts):
         theta_star=np.asarray(theta, dtype=np.float64),
         context_sampler=lambda rng: contexts[0],
         noise_std=0.0,
+    )
+
+
+def _labelled_instance(contexts, labels):
+    """An instance whose rewards are ``labels``, one row per context."""
+    return BanditInstance(
+        d=contexts[0].d,
+        theta_star=None,
+        context_sampler=lambda rng: contexts[0],
+        labels={c.context_id: label for c, label in zip(contexts, labels)},
     )
 
 
@@ -294,6 +303,7 @@ def test_batched_evaluation_matches_per_context_loop(d, action_counts, uniform, 
     theta_star = rng.normal(size=d)
     instance = _instance_with_contexts(theta_star, contexts)
     labels = [rng.integers(0, 3, size=c.n_actions).astype(np.float64) for c in contexts]
+    labelled = _labelled_instance(contexts, labels)
     true_scores = [c.features @ theta_star for c in contexts]
     fits = [ridge_fit(_dataset(rng.normal(size=(k * d, d)), rng.normal(size=k * d)), lam)
             for k, lam in ((3, 0.7), (1, 2.0))]
@@ -305,15 +315,14 @@ def test_batched_evaluation_matches_per_context_loop(d, action_counts, uniform, 
             reports = [
                 (evaluate(estimate, instance, linear_set), true_scores),
                 (evaluate(estimate, instance, contexts), true_scores),
-                (evaluate_values(estimate, labelled_set), labels),
-                (evaluate_values(estimate, linear_set), true_scores),
+                (evaluate(estimate, labelled, labelled_set), labels),
             ]
             for report, truth in reports:
                 expected = _reference_report(estimate, contexts, truth)
                 for field in EvaluationReport.__dataclass_fields__:
                     assert getattr(report, field) == getattr(expected, field), field
     # Every score of the tied estimate is 0, so the greedy policy takes action 0.
-    assert (evaluate_values(tied, labelled_set).policy_value
+    assert (evaluate(tied, labelled, labelled_set).policy_value
             == float(np.mean([label[0] for label in labels])))
 
 
@@ -369,6 +378,7 @@ def live_row_mismatches(name) -> list:
     rng = np.random.default_rng(3)
     instance = _instance_with_contexts(theta_star, contexts)
     labels = [rng.integers(0, 3, size=c.n_actions).astype(np.float64) for c in contexts]
+    labelled = _labelled_instance(contexts, labels)
     true_scores = [c.features @ theta_star for c in contexts]
     fits = [ridge_fit(_dataset(rng.normal(size=(k * d, d)), rng.normal(size=k * d)), lam)
             for k, lam in ((3, 0.7), (1, 2.0))]
@@ -380,7 +390,7 @@ def live_row_mismatches(name) -> list:
             reports = [
                 ("set", evaluate(estimate, instance, linear_set), true_scores),
                 ("list", evaluate(estimate, instance, contexts), true_scores),
-                ("labels", evaluate_values(estimate, labelled_set), labels),
+                ("labels", evaluate(estimate, labelled, labelled_set), labels),
             ]
             for kind, report, truth in reports:
                 expected = _reference_report(estimate, contexts, truth)
@@ -468,13 +478,20 @@ def test_evaluation_set_is_read_only_and_positions_cover_every_context(rng):
 def test_evaluate_rejects_a_set_of_other_true_values(rng):
     contexts = unit_ball_contexts(rng, 4, 3, 2)
     instance = _instance_with_contexts(np.ones(3), contexts)
+    labels = [np.zeros(2)] * 4
+    labelled = _labelled_instance(contexts, labels)
+    labelled_set = EvaluationSet(contexts, true_values=labels)
     estimate = ridge_fit(InteractionDataset(3), 1.0)
-    for eval_set in (EvaluationSet(contexts, theta_star=np.full(3, 2.0)),
-                     EvaluationSet(contexts, true_values=[np.zeros(2)] * 4)):
+    # A linear instance takes a set of its own theta_star's scores; a
+    # labelled one a set of recorded values, not theta_star's scores and
+    # not a plain context list.
+    for owner, eval_contexts in ((instance, EvaluationSet(contexts, theta_star=np.full(3, 2.0))),
+                                 (instance, labelled_set),
+                                 (labelled, EvaluationSet(contexts, theta_star=np.ones(3))),
+                                 (labelled, contexts)):
         with pytest.raises(ContractViolation):
-            evaluate(estimate, instance, eval_set)
-    with pytest.raises(ContractViolation):
-        evaluate_values(estimate, contexts)
+            evaluate(estimate, owner, eval_contexts)
+    assert evaluate(estimate, labelled, labelled_set).n_eval_contexts == 4
     with pytest.raises(ContractViolation):
         evaluate(ridge_fit(InteractionDataset(2), 1.0), instance, contexts)
     with pytest.raises(ConfigurationError):
@@ -494,7 +511,7 @@ _TWO_ACTION_CONTEXTS = [[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.0, 0.0]], [[0.
     ([[0.0, 1.0], ["high", 0.0], [1.0, 0.0]], "not numbers"),
 ], ids=["values-for-missing-actions", "too-few-entries", "ragged-block", "non-finite",
         "not-numbers"])
-def test_evaluate_values_checks_true_values_while_stacking(labels, message):
+def test_evaluation_set_checks_true_values_while_stacking(labels, message):
     contexts = [make_context(rows, f"c{i}") for i, rows in enumerate(_TWO_ACTION_CONTEXTS)]
     with pytest.raises(ContractViolation, match=message):
         EvaluationSet(contexts, true_values=labels)
@@ -515,8 +532,7 @@ def test_prefix_slice_fit_equals_ridge_fit_on_prefix_dataset(d, total, data):
     n = data.draw(st.integers(0, total))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     dataset = _dataset(rng.normal(size=(total, d)), rng.normal(size=total))
-    features, rewards = dataset.feature_matrix(), dataset.rewards()
-    sliced = ridge_fit_arrays(features[:n], rewards[:n], 0.5)
+    sliced = ridge_fit(dataset[:n], 0.5)
     direct = ridge_fit(make_dataset(d, list(dataset)[:n]), 0.5)
     assert sliced.theta_hat.tobytes() == direct.theta_hat.tobytes()
     assert sliced.sigma_prime_n.matrix.tobytes() == direct.sigma_prime_n.matrix.tobytes()

@@ -351,6 +351,19 @@ def test_cli_standin_and_ingest(tmp_path):
     assert (tmp_path / "bundle-train.npz").exists()
 
 
+def test_cli_ingest_failed_export_leaves_no_summary(tmp_path, capsys):
+    # The summary was once written before the bundles, so a failed export
+    # left it behind.
+    standin = generate_standin_file(tmp_path / "standin.txt", n_queries=12, seed=4, raw_dim=20)
+    summary_path = tmp_path / "ingest.json"
+    assert cli_main([
+        "ingest-ltr", "--path", str(standin), "--raw-dim", "20", "--subsampled-dim", "8",
+        "--out", str(summary_path), "--export", str(tmp_path / "missing" / "bundle"),
+    ]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not summary_path.exists()
+
+
 def test_cli_run_experiment_and_config_file(tmp_path):
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps({
@@ -524,9 +537,12 @@ _RANK = {"algorithm": "random", "N": 10, "data_path": "missing.txt"}
     (["run-experiment"], dict(_RANK, environment="rank_dataset", rank_subsampled_dim=-1),
      "subsampled_dim"),
     (["verify-lemmas", "--planner-runs", "0"], None, "planner_runs must be at least 1"),
+    # --N 0 once read as unset and planned with N = M.
+    (["plan", "--env", "hard_uniform", "--M", "4", "--N", "0"], None, "N must be at least 1"),
 ], ids=["standin-raw-dim-0", "standin-raw-dim-negative", "ingest-subsampled-dim-negative",
         "ingest-subsampled-above-raw", "config-rank-raw-dim-0",
-        "config-rank-subsampled-dim-negative", "verify-lemmas-zero-planner-runs"])
+        "config-rank-subsampled-dim-negative", "verify-lemmas-zero-planner-runs",
+        "plan-zero-budget"])
 def test_cli_rejects_dimensions_and_run_counts_below_one(tmp_path, capsys, args, config,
                                                          message):
     # Each once ended in a numpy traceback, or (zero planner runs) in a PASS

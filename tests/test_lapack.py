@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from mixplan.estimator import ridge_fit_arrays
+from mixplan import InteractionDataset, ridge_fit
 
 HERE = Path(__file__).resolve().parent
 
@@ -65,11 +65,11 @@ def test_routines_are_the_ones_scipy_linalg_lapack_exports(first):
 
 
 def ridge_mismatch(d, n, lam, seed):
-    """Whether ``ridge_fit_arrays``' theta_hat differs in any bit from
+    """Whether ``ridge_fit``'s theta_hat differs in any bit from
     ``cho_solve(cho_factor(m, lower=True), rhs)`` on the same Gram matrix."""
     rng = np.random.default_rng(seed)
     features, rewards = rng.normal(size=(n, d)), rng.normal(size=n)
-    estimate = ridge_fit_arrays(features, rewards, lam)
+    estimate = ridge_fit(InteractionDataset(d, [""] * n, np.zeros(n), features, rewards), lam)
     expected = cho_solve(cho_factor(estimate.sigma_prime_n.matrix, lower=True),
                          features.T @ rewards)
     return estimate.theta_hat.tobytes() != expected.tobytes()
