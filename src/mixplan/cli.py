@@ -305,7 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-every", type=int, default=None)
     p.add_argument("--eval-set-size", type=int, default=None)
     p.add_argument("--data-path", default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="trials run at once in worker processes (default 1); each trial's "
+                        "evaluation points share the cores left to it, cpus // workers, "
+                        "when the BLAS runs one thread")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_run_experiment)
 

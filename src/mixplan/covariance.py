@@ -28,9 +28,15 @@ take the snapshots that an exact test at every step would take.
 
 Triangular solves call LAPACK ``dtrtrs`` from ``mixplan._lapack``, SciPy's
 compiled LAPACK loaded without importing ``scipy.linalg``; factorizations
-use ``np.linalg.cholesky``. The planner and the evaluation score blocks of
-contexts through one kernel, ``_block_norms``, which keeps the rounding of
-one solve per context and can skip a block's all-zero rows (``_live_rows``).
+use ``np.linalg.cholesky``. Every solve goes through
+``_lapack.dtrtrs_nogil``, which releases the interpreter lock, so solves
+on other threads (the harness's evaluation points) run beside it. The
+planner and the evaluation score blocks of contexts through one kernel,
+``_block_norms``, which keeps the rounding of one solve per context and
+can skip a block's all-zero rows (``_live_rows``). Its rows come from ``Context`` and
+``ContextBatch`` features, which are checked finite and frozen when they
+are built, so it checks their dimension but does not scan them again; the
+public ``mahalanobis`` and ``mahalanobis_rows`` check every input.
 
 ``RegularizedCovariance`` is single-writer; hand out ``CovarianceSnapshot``
 objects (immutable) for concurrent readers.
@@ -43,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._lapack import dtrtrs
+from ._lapack import dtrtrs_nogil
 from .core import ConfigurationError, Context, ContextBatch, ContractViolation
 
 #: Absolute slack on the feature-norm gate.
@@ -158,16 +164,20 @@ def _block_norms(source, feats: np.ndarray,
     one solve, and single-action contexts keep one solve each. ``live``
     (``_live_rows``, two or more rows) names the rows to solve; the others
     are all zero, whose solve is ±0 and whose norm is 0.0, so they are
-    written as 0.0.
+    written as 0.0. The rows are not checked for finiteness: they are
+    ``Context`` or ``ContextBatch`` features, checked when those were built.
     """
+    chol = source.factor if isinstance(source, CovarianceSnapshot) else source.factor()
     g, n_actions, d = feats.shape
+    if d != chol.shape[0]:
+        raise ContractViolation(f"context dimension {d} != {chol.shape[0]}")
     if n_actions == 1:
-        return np.array([source.mahalanobis_rows(rows) for rows in feats])
+        return np.array([_mahalanobis_rows(chol, rows) for rows in feats])
     if live is None:
-        return source.mahalanobis_rows(feats.reshape(g * n_actions, d)).reshape(g, n_actions)
+        return _mahalanobis_rows(chol, feats.reshape(g * n_actions, d)).reshape(g, n_actions)
     index, rows = live
     norms = np.zeros(g * n_actions)
-    norms[index] = source.mahalanobis_rows(rows)
+    norms[index] = _mahalanobis_rows(chol, rows)
     return norms.reshape(g, n_actions)
 
 
@@ -177,9 +187,10 @@ def _mahalanobis_rows(chol_lower: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
     This is the LAPACK call ``solve_triangular`` makes for such a factor
     (its transpose is a Fortran-ordered upper factor, solved transposed),
-    without the wrapper's validation and copies.
+    without the wrapper's validation and copies, and without the
+    interpreter lock.
     """
-    y, info = dtrtrs(chol_lower.T, rows.T, lower=0, trans=1)
+    y, info = dtrtrs_nogil(chol_lower.T, rows.T, lower=0, trans=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
     return np.sqrt(np.einsum("ij,ij->j", y, y))

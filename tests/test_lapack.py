@@ -1,6 +1,8 @@
 """mixplan's LAPACK routines come from SciPy's compiled extension without
 ``scipy.linalg``: what start-up leaves out, the identity of the routines,
-and the ridge solve against the ``cho_factor``/``cho_solve`` it replaces."""
+the ridge solve against the ``cho_factor``/``cho_solve`` it replaces, the
+lock-free entry to ``dtrtrs`` against the f2py one, and the BLAS thread
+count read through ``ctypes``."""
 
 import json
 import os
@@ -14,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from mixplan import InteractionDataset, ridge_fit
+from mixplan import InteractionDataset, covariance, ridge_fit
+from mixplan._lapack import dtrtrs, dtrtrs_nogil
 
 HERE = Path(__file__).resolve().parent
 
@@ -101,3 +104,38 @@ def test_missing_extension_is_an_import_error_naming_the_path(monkeypatch):
                         classmethod(lambda cls, name, path=None, target=None: None))
     with pytest.raises(ImportError, match=r"_flapack was not found in .*linalg"):
         _lapack._load_flapack()
+
+
+def _factor(rng, d):
+    m = rng.normal(size=(d, d))
+    return np.linalg.cholesky(m @ m.T + d * np.eye(d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 20, 300])
+def test_gil_free_solve_equals_f2py_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    for columns in (0, 1, 2, 3, 24, 101, 400):
+        chol, rows = _factor(rng, d), rng.normal(size=(columns, d))
+        # The layout _mahalanobis_rows solves, then the lower factor as given.
+        for a, lower, trans in ((chol.T, 0, 1), (chol.T, 0, 0), (chol, 1, 0), (chol, 1, 1)):
+            expected, info = dtrtrs(a, rows.T, lower=lower, trans=trans)
+            got, got_info = dtrtrs_nogil(a, rows.T, lower=lower, trans=trans)
+            assert (got_info, info) == (0, 0)
+            assert got.flags.f_contiguous and got.tobytes() == expected.tobytes(), (columns, lower)
+
+
+@pytest.mark.parametrize("columns", [2, 400])
+def test_zero_on_the_diagonal_raises_the_same_error_either_way(columns):
+    chol = np.linalg.cholesky(np.eye(300) * 4.0)
+    chol[7, 7] = 0.0
+    rows = np.ones((columns, 300))
+    assert dtrtrs(chol.T, rows.T, lower=0, trans=1)[1] == 8
+    assert dtrtrs_nogil(chol.T, rows.T, lower=0, trans=1)[1] == 8
+    with pytest.raises(np.linalg.LinAlgError, match=r"^triangular solve failed \(LAPACK info 8\)$"):
+        covariance._mahalanobis_rows(chol, rows)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_blas_threads_reads_every_loaded_openblas(threads):
+    assert _run("import json; from mixplan import _lapack;"
+                " print(json.dumps(_lapack.blas_threads()))", threads=threads) == int(threads)
