@@ -23,6 +23,7 @@ plain samplers, whose batches stack the sampled contexts.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -500,22 +501,34 @@ def generate_standin_file(path, n_queries: int, seed: int, raw_dim: int = 700) -
     """Emit a synthetic ranking file in the sparse interchange format.
 
     Relevance labels are a quantized noisy linear function of the features,
-    so extracted policies have signal to find. Deterministic given the seed.
+    so extracted policies have signal to find. The bytes depend on the
+    arguments alone: the README gives the law, the generator calls in order.
+    Lines go to a temporary file that replaces ``path`` only once it is
+    complete.
     """
     check_standin_sizes(n_queries, raw_dim)
     rng = np.random.default_rng(seed)
     weights = rng.normal(0.0, 1.0, size=raw_dim)
     scale = math.sqrt(max(1.0, raw_dim * _STANDIN_DENSITY))
     path = Path(path)
-    with path.open("w") as handle:
-        for q in range(n_queries):
-            n_docs = int(rng.integers(1, _STANDIN_MAX_DOCS + 1))
-            for _ in range(n_docs):
-                n_feats = max(1, int(rng.binomial(raw_dim, _STANDIN_DENSITY)))
-                idx = np.sort(rng.choice(raw_dim, size=n_feats, replace=False))
-                vals = np.round(rng.uniform(0.05, 1.0, size=n_feats), 4)
-                score = float(vals @ weights[idx]) / scale
-                relevance = int(np.clip(round(2.0 + 1.5 * score + 0.3 * rng.standard_normal()), 0, 4))
-                tokens = " ".join(f"{i + 1}:{v}" for i, v in zip(idx, vals))
-                handle.write(f"{relevance} qid:{q} {tokens}\n")
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with temporary.open("w") as handle:
+            for q in range(n_queries):
+                n_docs = int(rng.integers(1, _STANDIN_MAX_DOCS + 1))
+                for _ in range(n_docs):
+                    n_feats = max(1, int(rng.binomial(raw_dim, _STANDIN_DENSITY)))
+                    idx = np.sort(rng.choice(raw_dim, size=n_feats, replace=False))
+                    vals = np.round(rng.uniform(0.05, 1.0, size=n_feats), 4)
+                    score = float(vals @ weights[idx]) / scale
+                    noise = 0.3 * rng.standard_normal()
+                    relevance = min(max(round(2.0 + 1.5 * score + noise), 0), 4)
+                    # repr of a Python float is the text numpy's str gives the float64.
+                    tokens = " ".join([f"{i + 1}:{v!r}"
+                                       for i, v in zip(idx.tolist(), vals.tolist())])
+                    handle.write(f"{relevance} qid:{q} {tokens}\n")
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
     return path

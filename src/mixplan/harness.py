@@ -254,9 +254,9 @@ def _cached_ingest(data_path: str, spec: RankDatasetSpec, seed: int) -> tuple:
     into an ``EvaluationSet`` whose true values are its relevance labels.
 
     Ingested and stacked once per process while the input stays the same:
-    an entry is reused only while the modification time and size of the
-    ranking file, or of each split file of a ranking directory, are
-    unchanged."""
+    the cache keeps the most recent ingest alone, and reuses it only while
+    the modification time and size of the ranking file, or of each split
+    file of a ranking directory, are unchanged."""
     path = Path(data_path).resolve()
     files = [path / name for name in SPLIT_FILES] if path.is_dir() else [path]
     stamp = tuple((f.stat().st_mtime_ns, f.stat().st_size) if f.exists() else None
@@ -264,6 +264,7 @@ def _cached_ingest(data_path: str, spec: RankDatasetSpec, seed: int) -> tuple:
     key = (path, spec, seed)
     cached = _INGEST_CACHE.get(key)
     if cached is None or cached[0] != stamp:
+        _INGEST_CACHE.clear()  # before the next ingest is read, not beside it
         ingest = ingest_rank_dataset(data_path, spec, seed)
         test = ingest.test or ingest.train
         eval_set = EvaluationSet([rc.context for rc in test],

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from mixplan import (
     DataError,
     ParseError,
     RankDatasetSpec,
+    RunConfig,
     generate_standin_file,
     ingest_rank_dataset,
     make_hard_goptimal,
@@ -22,7 +25,10 @@ from mixplan import (
     make_random_unit_instance,
     make_rank_instance,
     make_synthetic,
+    run_experiment,
 )
+from mixplan import environments
+from mixplan.cli import main as cli_main
 from mixplan.environments import (
     RANK_MAX_ACTIONS,
     RANK_NORM_CAP,
@@ -546,6 +552,110 @@ def test_standin_file_is_deterministic(tmp_path):
     parsed = parse_rank_file(a)
     assert len(parsed.qids) == 15
     assert set(parsed.labels.tolist()) <= {0.0, 1.0, 2.0, 3.0, 4.0}
+
+
+#: sha256 of stand-in files by (n_queries, seed, raw_dim); the benchmark's
+#: stored references are computed from such files, so their bytes must not
+#: change. (500, 1, 700) is the trial-standin input at seed 1, (30, 0, 1) has
+#: one coordinate, and at raw_dim 2000 most documents have 32 or more
+#: entries, where OpenBLAS takes its vector dot product.
+STANDIN_DIGESTS = {
+    (500, 1, 700): "c6e6466ca66c4af7960dc0b7ec719ecc0f978a1b7c413406def09a1a6c46d639",
+    (40, 8, 30): "9586d2c7194d2a418028d27db9f8aea5e8a67f100ff510c0fb424406425e3a28",
+    (30, 0, 1): "816021434841414454ae7195069d4c13e81f1f3bcc4ad2959d170d9e7f0546fc",
+    (200, 2001, 2000): "23de410bf21ef249cc44aa0a4f0c6e6671415f12c163b54c522888f11a1042f6",
+}
+
+#: The same for ``mixplan gen-standin --splits --queries 25 --raw-dim 60 --seed 7``.
+STANDIN_SPLIT_DIGESTS = {
+    "train.txt": "75c678ba0864b30062fab22be17a11d16d854977f24a7936b3f975ec73a68f0c",
+    "valid.txt": "467485af9a4e419bd8225d4683f46d98ce633cbb659fe7a819c9faefb2faf2bb",
+    "test.txt": "edef5230e1683b17602a15c9e5a50085139ff44768508e7ceec4219aafa50c5f",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("n_queries, seed, raw_dim", sorted(STANDIN_DIGESTS))
+def test_standin_file_bytes_are_pinned(tmp_path, n_queries, seed, raw_dim):
+    path = generate_standin_file(tmp_path / "standin.txt", n_queries=n_queries, seed=seed,
+                                 raw_dim=raw_dim)
+    assert _sha256(path) == STANDIN_DIGESTS[n_queries, seed, raw_dim]
+
+
+def test_cli_standin_split_bytes_are_pinned(tmp_path):
+    directory = tmp_path / "splits"
+    assert cli_main(["gen-standin", "--out", str(directory), "--queries", "25",
+                     "--raw-dim", "60", "--seed", "7", "--splits"]) == 0
+    assert {p.name: _sha256(p) for p in directory.iterdir()} == STANDIN_SPLIT_DIGESTS
+
+
+def _fail_at_query(monkeypatch, failing_query):
+    """Make stand-in generation raise KeyboardInterrupt as it starts query
+    ``failing_query``, after the earlier queries were written: a query's
+    first draw is its document count, its one ``integers`` call."""
+    default_rng = np.random.default_rng
+
+    class Interrupting:
+        def __init__(self, seed):
+            self.rng, self.queries = default_rng(seed), 0
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def integers(self, *args, **kwargs):
+            if self.queries == failing_query:
+                raise KeyboardInterrupt
+            self.queries += 1
+            return self.rng.integers(*args, **kwargs)
+
+    monkeypatch.setattr(environments.np.random, "default_rng", Interrupting)
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["no-earlier-file", "earlier-file"])
+def test_interrupted_standin_generation_leaves_the_target_as_it_was(tmp_path, monkeypatch,
+                                                                    earlier):
+    path = tmp_path / "standin.txt"
+    if earlier:
+        generate_standin_file(path, n_queries=5, seed=2, raw_dim=30)
+    before = path.read_bytes() if earlier else None
+    _fail_at_query(monkeypatch, 300)  # about 0.9 MB written by then
+    with pytest.raises(KeyboardInterrupt):
+        generate_standin_file(path, n_queries=500, seed=1, raw_dim=700)
+    assert (path.read_bytes() if path.exists() else None) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["standin.txt"] if earlier else [])
+
+
+def test_standin_run_after_an_interrupted_one_writes_the_whole_file(tmp_path, monkeypatch):
+    # The harness reuses the default stand-in file whenever it exists, so an
+    # interrupted generation must not leave a part of it there.
+    monkeypatch.chdir(tmp_path)
+    config = RunConfig(environment="stand_in", algorithm="random", N=10, n_trials=1,
+                       eval_every=10, eval_set_size=5, seed=1, standin_queries=500,
+                       rank_raw_dim=700, rank_subsampled_dim=12, output_path="out")
+    with monkeypatch.context() as patch:
+        _fail_at_query(patch, 300)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(config)
+    assert list((tmp_path / "runs").iterdir()) == []
+    result = run_experiment(config)
+    data_path = Path(result.summary["config"]["data_path"])
+    assert [p.name for p in (tmp_path / "runs").iterdir()] == [data_path.name]
+    assert _sha256(data_path) == STANDIN_DIGESTS[500, 1, 700]
+
+
+def test_standin_generation_does_not_buffer_the_file(tmp_path):
+    # Writing each line as it is drawn peaks near 0.04 MB traced; a buffer
+    # of the whole 1.5 MB file peaked near 28 MB.
+    tracemalloc.start()
+    try:
+        generate_standin_file(tmp_path / "standin.txt", n_queries=500, seed=1, raw_dim=700)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_rank_instance_streams_and_rewards(tmp_path):

@@ -224,6 +224,30 @@ def test_ingest_cache_rereads_a_regenerated_file(tmp_path, monkeypatch, layout):
     assert second != first
 
 
+def test_ingest_cache_keeps_the_latest_ingest_alone(tmp_path, monkeypatch):
+    # Two runs on one file share its ingest, as the trial-standin benchmark's
+    # two algorithms do; a run on another file replaces it.
+    monkeypatch.setattr(harness, "_INGEST_CACHE", {})
+    files = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    for seed, path in enumerate(files):
+        generate_standin_file(path, n_queries=40, seed=seed, raw_dim=30)
+
+    def run(path, algorithm):
+        run_experiment(RunConfig(
+            environment="rank_dataset", algorithm=algorithm, N=20, n_trials=1,
+            eval_every=10, seed=3, rank_raw_dim=30, rank_subsampled_dim=12,
+            data_path=str(path), output_path=str(tmp_path / f"{path.stem}-{algorithm}"),
+        ))
+        (entry,) = harness._INGEST_CACHE.values()
+        return entry[1]
+
+    first = run(files[0], "planner_sampler")
+    assert all(a is b for a, b in zip(run(files[0], "supervised_oracle"), first, strict=True))
+    second = run(files[1], "planner_sampler")
+    assert [key[0] for key in harness._INGEST_CACHE] == [files[1].resolve()]
+    assert not any(a is b for a, b in zip(second, first))
+
+
 def test_lambda_sweep_emits_one_metrics_file_per_value(tmp_path):
     standin = tmp_path / "sweep-data.txt"
     from mixplan import generate_standin_file
