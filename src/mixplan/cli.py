@@ -18,13 +18,13 @@ from .core import (
     DataError,
     ExperimentConfig,
     ParseError,
+    check_settings,
 )
 from .covariance import RegularizedCovariance
 from .environments import (
     RANK_MAX_ACTIONS,
     SPLIT_FILES,
     RankDatasetSpec,
-    check_standin_sizes,
     generate_standin_file,
     ingest_rank_dataset,
     make_hard_goptimal,
@@ -205,7 +205,6 @@ def _cmd_verify_lemmas(args) -> int:
 def _cmd_gen_standin(args) -> int:
     out = Path(args.out)
     if args.splits:
-        check_standin_sizes(args.queries, args.raw_dim)
         out.mkdir(parents=True, exist_ok=True)
         for i, name in enumerate(SPLIT_FILES):
             generate_standin_file(out / name, n_queries=args.queries,
@@ -349,6 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Every flag given a value is checked before the command reads or writes a file.
+        check_settings(**{name: value for name, value in vars(args).items()
+                          if value is not None})
         return args.func(args)
     except (ConfigurationError, ContractViolation, DataError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BanditInstance, ConfigurationError, ExperimentConfig
+from .core import BanditInstance, ConfigurationError, ExperimentConfig, check_settings
 from .covariance import RegularizedCovariance, _add_outer_products
 from .planner import MixturePolicy, _greedy_block, plan, switch_count_budget
 from .sampler import sample
@@ -40,7 +40,7 @@ def bernstein_bound(sum_cond_var, delta: float):
     Bounds the realized sum of an adapted sequence (bounded above by 1) in
     terms of the summed conditional second moments V.
     """
-    _check_delta(delta)
+    check_settings(delta=delta)
     sum_cond_var = np.asarray(sum_cond_var, dtype=np.float64)
     if np.any(sum_cond_var < 0):
         raise ConfigurationError("conditional variance sum must be nonnegative")
@@ -53,7 +53,7 @@ def reverse_bernstein_bound(sum_x, delta: float):
     """Bound the summed conditional means of a [0, 1] adapted sequence by the
     realized sum: (1/4) (c1 + sqrt(c1^2 + 4 (sum_x + c2)))^2 with
     c1 = 2 sqrt(ln(1/delta)), c2 = 2 ln(1/delta)."""
-    _check_delta(delta)
+    check_settings(delta=delta)
     sum_x = np.asarray(sum_x, dtype=np.float64)
     if np.any(sum_x < 0):
         raise ConfigurationError("realized sum must be nonnegative")
@@ -76,8 +76,7 @@ def matrix_chernoff_tail(mu: float, R: float, deviation: float, d: int,
     """
     if mu <= 0 or R <= 0:
         raise ConfigurationError("mu and R must be positive")
-    if d < 1:
-        raise ConfigurationError("dimension must be at least 1")
+    check_settings(d=d)
     if tail == "doubling":
         return d * math.exp(-mu / (4.0 * R))
     if not 0.0 <= deviation <= 1.0:
@@ -87,11 +86,6 @@ def matrix_chernoff_tail(mu: float, R: float, deviation: float, d: int,
     if tail == "max":
         return d * (1.0 - deviation**2 / 4.0) ** (mu / R)
     raise ConfigurationError(f"unknown tail {tail!r}; expected min, max, or doubling")
-
-
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 1.0:
-        raise ConfigurationError("delta must lie in (0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +187,7 @@ def coverage_test(process_family: BernoulliChain,
                   bound_fn: Callable[[np.ndarray, np.ndarray, float], tuple],
                   trials: int, delta: float, seed: int) -> CoverageReport:
     """Simulate the family and count violations of the bound at level delta."""
-    if trials < 1:
-        raise ConfigurationError("need at least one trial")
-    _check_delta(delta)
+    check_settings(trials=trials, delta=delta, seed=seed)
     rng = np.random.default_rng(seed)
     X, P = process_family.simulate(rng, trials)
     lhs, rhs = bound_fn(X, P, delta)
@@ -284,7 +276,7 @@ def switch_bound_check(policy: MixturePolicy, config: ExperimentConfig) -> Switc
 
 def online_regularization_requirement(d: int, delta: float) -> float:
     """Smallest regularization for the online lower bound: 24 ln(8d/delta)."""
-    _check_delta(delta)
+    check_settings(delta=delta)
     return 24.0 * math.log(8.0 * d / delta)
 
 
@@ -295,7 +287,7 @@ def offline_context_requirement(d: int, N: int, lambda_reg: float, delta: float)
     upward iteration from M = 1; it converges because K grows only
     logarithmically in M.
     """
-    _check_delta(delta)
+    check_settings(delta=delta)
     M = 1.0
     for _ in range(_REQUIREMENT_ROUNDS):
         K = max(1.0, switch_count_budget(d, M, lambda_reg))
@@ -339,8 +331,7 @@ def sandwich_check(instance: BanditInstance, config: ExperimentConfig, trials: i
     per-step conditional context law is a point mass the replay estimate of
     SigmaBar is exact regardless of n_expectation_contexts.
     """
-    if trials < 1:
-        raise ConfigurationError("need at least one trial")
+    check_settings(trials=trials, seed=seed)
     lam = config.lambda_reg
     alpha = config.alpha
     eye = np.eye(instance.d)
@@ -406,10 +397,10 @@ def verify_lemmas(seed: int = 0, coverage_trials: int = 4000, sandwich_trials: i
 
     The acceptance tests run the same checks at their full advertised
     scales; this entry point backs the verify-lemmas CLI command. Raises
-    ConfigurationError unless planner_runs is at least 1.
+    ConfigurationError for a seed or count out of its range.
     """
-    if planner_runs < 1:
-        raise ConfigurationError(f"planner_runs must be at least 1, got {planner_runs}")
+    check_settings(seed=seed, trials=coverage_trials, sandwich_trials=sandwich_trials,
+                   planner_runs=planner_runs)
     from .environments import make_hard_nonconcentrating, make_hard_uniform, make_random_unit_instance
 
     report: dict = {"seed": seed}

@@ -30,6 +30,9 @@ and their normals first and compute the rewards afterwards
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -47,6 +50,50 @@ class ConfigurationError(ValueError):
 
 class DataError(ValueError):
     """Malformed data encountered while fitting or evaluating."""
+
+
+#: The range of every setting, under each name a door takes it by: a
+#: ``RunConfig`` or ``ExperimentConfig`` field, a CLI flag or a kernel's
+#: argument. An entry is the setting's type, the test its values pass (which
+#: for a float also says whether it must be finite) and the rule that test
+#: states. ``check_settings`` reads it; no other code states a range.
+_AT_LEAST_1 = (int, lambda v: v >= 1, "be at least 1")
+_RANGES = {
+    **dict.fromkeys(("M", "N", "d", "n_eval", "n_trials", "eval_every", "eval_set_size",
+                     "workers", "trials", "sandwich_trials", "planner_runs", "queries",
+                     "n_queries", "standin_queries", "raw_dim", "rank_raw_dim",
+                     "subsampled_dim", "rank_subsampled_dim"), _AT_LEAST_1),
+    **dict.fromkeys(("actions", "n_actions", "k"), (int, lambda v: v >= 2, "be at least 2")),
+    "seed": (int, lambda v: v >= 0, "be at least 0"),
+    "lambda_reg": (float, lambda v: 0 < v < math.inf, "be positive and finite"),
+    "alpha": (float, lambda v: 0 < v <= 1, "lie in (0, 1]"),
+    "delta": (float, lambda v: 0 < v < 1, "lie in (0, 1)"),
+    **dict.fromkeys(("data_path", "output_path"), (str, lambda v: True, "")),
+}
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+          str: (str, "a string")}
+
+
+def check_settings(**settings) -> None:
+    """Raise ConfigurationError, as "<name> must ..., got <value>", for the
+    first setting of the wrong type or out of its range; a name without an
+    entry in ``_RANGES`` is not a setting and passes."""
+    for name, value in settings.items():
+        if name not in _RANGES:
+            continue
+        kind, admits, rule = _RANGES[name]
+        if isinstance(value, bool) or not isinstance(value, _KINDS[kind][0]):
+            raise ConfigurationError(f"{name} must be {_KINDS[kind][1]}, got {value!r}")
+        if not admits(value):
+            raise ConfigurationError(f"{name} must {rule}, got {value!r}")
+
+
+def _check_fields(config) -> None:
+    """``check_settings`` on every field of a dataclass; a field whose
+    default is None may be None (unset)."""
+    check_settings(**{field.name: getattr(config, field.name)
+                      for field in dataclasses.fields(config)
+                      if getattr(config, field.name) is not None or field.default is not None})
 
 
 class ParseError(ValueError):
@@ -240,8 +287,7 @@ class BanditInstance:
     context_law: Optional[ContextLaw] = None
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ConfigurationError("dimension must be at least 1")
+        check_settings(d=self.d)
         if self.noise_std < 0:
             raise ConfigurationError("noise_std must be nonnegative")
         if self.context_sampler is None:
@@ -354,8 +400,7 @@ class InteractionDataset:
 
     def __init__(self, d: int, context_ids: Sequence[str] = (), actions=(),
                  features: Optional[np.ndarray] = None, rewards=()):
-        if d < 1:
-            raise ConfigurationError("dimension must be at least 1")
+        check_settings(d=d)
         self.d, self.context_ids = int(d), list(context_ids)
         n = len(self.context_ids)
         self.actions = np.asarray(actions, dtype=np.int64)
@@ -418,15 +463,6 @@ class ExperimentConfig:
     delta: float = 0.05
 
     def __post_init__(self):
-        if self.M < 1:
-            raise ConfigurationError("M must be at least 1")
-        if self.N < 1:
-            raise ConfigurationError("N must be at least 1")
-        if self.lambda_reg <= 0:
-            raise ConfigurationError("lambda_reg must be positive")
-        if not 0 < self.delta < 1:
-            raise ConfigurationError("delta must lie in (0, 1)")
+        _check_fields(self)
         if self.alpha is None:
             object.__setattr__(self, "alpha", min(1.0, self.N / self.M))
-        if not 0 < self.alpha <= 1:
-            raise ConfigurationError("alpha must lie in (0, 1]")

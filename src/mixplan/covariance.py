@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from ._lapack import dtrtrs_nogil
-from .core import ConfigurationError, Context, ContextBatch, ContractViolation
+from .core import ConfigurationError, Context, ContextBatch, ContractViolation, check_settings
 
 #: Absolute slack on the feature-norm gate.
 NORM_TOLERANCE = 1e-9
@@ -267,12 +267,7 @@ class RegularizedCovariance:
 
     def __init__(self, d: int, lambda_reg: float, alpha: float = 1.0,
                  norm_cap: float | None = 1.0):
-        if d < 1:
-            raise ConfigurationError("dimension must be at least 1")
-        if not lambda_reg > 0:
-            raise ConfigurationError("lambda_reg must be positive")
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigurationError("alpha must lie in (0, 1]")
+        check_settings(d=d, lambda_reg=lambda_reg, alpha=alpha)
         if norm_cap is not None and norm_cap <= 0:
             raise ConfigurationError("norm_cap must be positive or None")
         self.d = int(d)

@@ -38,6 +38,7 @@ from .core import (
     ContextLaw,
     DataError,
     ParseError,
+    check_settings,
     stack_contexts,
 )
 
@@ -135,8 +136,7 @@ def make_hard_uniform(A: int) -> BanditInstance:
     so estimating action 0's reward under uniform play needs order A times
     more samples than an even split.
     """
-    if A < 2:
-        raise ConfigurationError("need at least 2 actions")
+    check_settings(n_actions=A)
     feats = np.zeros((A, 2))
     feats[0, 0] = 1.0
     feats[1:, 1] = 1.0
@@ -157,8 +157,7 @@ def make_hard_goptimal(k: int) -> BanditInstance:
     context-exclusive feature e_{k+i}. A per-context uniform design puts
     only 1/(k(k+1)) mass on each exclusive direction.
     """
-    if k < 2:
-        raise ConfigurationError("need k >= 2 contexts")
+    check_settings(k=k)
     d = 2 * k
     contexts = []
     for i in range(k):
@@ -222,8 +221,9 @@ def make_random_unit_instance(d: int, n_actions: int, seed: int = 0) -> BanditIn
     Used for randomized sweeps (switch counts, potential checks) where the
     unit-norm cap must hold and no particular geometry is wanted.
     """
-    if d < 1 or n_actions < 1:
-        raise ConfigurationError("need d >= 1 and n_actions >= 1")
+    check_settings(d=d)
+    if n_actions < 1:
+        raise ConfigurationError(f"need at least 1 action, got n_actions={n_actions}")
     rng0 = np.random.default_rng(seed)
     theta = rng0.normal(size=d)
     theta /= max(1.0, float(np.linalg.norm(theta)))
@@ -262,10 +262,10 @@ class RankDatasetSpec:
     subsampled_dim: int = 300
 
     def __post_init__(self):
-        if not 1 <= self.subsampled_dim <= self.raw_dim:
-            raise ConfigurationError(
-                f"need 1 <= subsampled_dim <= raw_dim, got subsampled_dim={self.subsampled_dim}, "
-                f"raw_dim={self.raw_dim}")
+        check_settings(raw_dim=self.raw_dim, subsampled_dim=self.subsampled_dim)
+        if self.subsampled_dim > self.raw_dim:
+            raise ConfigurationError(f"subsampled_dim must be at most raw_dim ({self.raw_dim}), "
+                                     f"got {self.subsampled_dim}")
 
 
 class RankFile(NamedTuple):
@@ -489,14 +489,6 @@ _STANDIN_MAX_DOCS = 35
 _STANDIN_DENSITY = 0.02
 
 
-def check_standin_sizes(n_queries: int, raw_dim: int) -> None:
-    """Raise ConfigurationError unless ``generate_standin_file`` takes these sizes."""
-    if n_queries < 1:
-        raise ConfigurationError("need at least one query")
-    if raw_dim < 1:
-        raise ConfigurationError(f"raw_dim must be at least 1, got {raw_dim}")
-
-
 def generate_standin_file(path, n_queries: int, seed: int, raw_dim: int = 700) -> Path:
     """Emit a synthetic ranking file in the sparse interchange format.
 
@@ -506,7 +498,7 @@ def generate_standin_file(path, n_queries: int, seed: int, raw_dim: int = 700) -
     Lines go to a temporary file that replaces ``path`` only once it is
     complete.
     """
-    check_standin_sizes(n_queries, raw_dim)
+    check_settings(n_queries=n_queries, seed=seed, raw_dim=raw_dim)
     rng = np.random.default_rng(seed)
     weights = rng.normal(0.0, 1.0, size=raw_dim)
     scale = math.sqrt(max(1.0, raw_dim * _STANDIN_DENSITY))

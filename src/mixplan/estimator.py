@@ -54,6 +54,7 @@ from .core import (
     ContractViolation,
     DataError,
     InteractionDataset,
+    check_settings,
 )
 from .covariance import RegularizedCovariance, _block_norms, _context_blocks, _live_rows
 
@@ -106,9 +107,8 @@ def ridge_fit(dataset: InteractionDataset, lambda_reg: float) -> RidgeEstimate:
     A prefix ``dataset[:n]`` fits its columns' views in place, with the same
     bits as a dataset built from the first n steps.
     """
+    check_settings(lambda_reg=lambda_reg)
     features, rewards = dataset.feature_matrix(), dataset.rewards()
-    if lambda_reg <= 0:
-        raise ConfigurationError("lambda_reg must be positive")
     n, d = features.shape
     if n == 0:
         cov = RegularizedCovariance(d, lambda_reg, alpha=1.0, norm_cap=None)

@@ -40,7 +40,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -57,6 +56,7 @@ from .core import (
     Context,
     ExperimentConfig,
     InteractionDataset,
+    _check_fields,
 )
 from .estimator import EvaluationSet, evaluate, ridge_fit
 from .environments import (
@@ -76,12 +76,12 @@ logger = logging.getLogger(__name__)
 
 ENVIRONMENTS = ("synthetic", "hard_uniform", "hard_goptimal", "rank_dataset", "stand_in")
 ALGORITHMS = ("planner_sampler", "random", "largest_norm", "single_action", "supervised_oracle")
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved configuration of one experiment run."""
+    """Resolved configuration of one experiment run; every field is checked,
+    also one the environment or algorithm does not read."""
 
     environment: str
     algorithm: str
@@ -107,20 +107,9 @@ class RunConfig:
             raise ConfigurationError(f"unknown environment {self.environment!r}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
-        if self.N < 1:
-            raise ConfigurationError("N must be at least 1")
         if self.M is None:
             object.__setattr__(self, "M", self.N)
-        if self.M < 1:
-            raise ConfigurationError("M must be at least 1")
-        if self.n_trials < 1:
-            raise ConfigurationError("n_trials must be at least 1")
-        if self.eval_every < 1:
-            raise ConfigurationError("eval_every must be at least 1")
-        if self.eval_set_size < 1:
-            raise ConfigurationError("eval_set_size must be at least 1")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be at least 1")
+        _check_fields(self)
         if self.environment in ("rank_dataset", "stand_in"):
             RankDatasetSpec(raw_dim=self.rank_raw_dim, subsampled_dim=self.rank_subsampled_dim)
         if self.environment == "rank_dataset" and not self.data_path:
@@ -135,20 +124,13 @@ class RunConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
         """Build a config from JSON data; ConfigurationError for anything that
-        is not an object of known, correctly typed fields."""
+        is not an object of known fields, each of its type and in its range."""
         if not isinstance(payload, dict):
             raise ConfigurationError(
                 f"config must be an object of RunConfig fields, got {type(payload).__name__}")
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = set(payload) - set(types)
+        unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
-        for name, value in payload.items():
-            kind = types[name].removeprefix("Optional[").removesuffix("]")
-            if value is None and kind != types[name]:
-                continue
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
-                raise ConfigurationError(f"config field {name!r} must be {kind}, got {value!r}")
         try:
             return cls(**payload)
         except TypeError as exc:  # a required field is missing

@@ -21,11 +21,11 @@ import numpy as np
 
 from .core import (
     BanditInstance,
-    ConfigurationError,
     ContractViolation,
     DataError,
     InteractionDataset,
     action_counts,
+    check_settings,
     context_ids,
     feature_rows,
 )
@@ -54,10 +54,9 @@ def sample(policy, instance: BanditInstance, N: int, rng: np.random.Generator, *
     columns. No action changes a draw, so the steps are bit for bit those of
     one context at a time.
     """
+    check_settings(N=N)
     if policy_rng is None:
         policy_rng = rng
-    if N < 1:
-        raise ConfigurationError("N must be at least 1")
     policy_d = getattr(policy, "d", None)
     if policy_d is not None and policy_d != instance.d:
         raise ContractViolation(

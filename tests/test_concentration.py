@@ -289,6 +289,18 @@ def test_batched_snapshot_replay_matches_per_context_actions(kind):
             [snap.mahalanobis_rows(c.features)[a] for c, a in zip(contexts, expected)]).tobytes()
 
 
+def test_lab_seeds_and_counts_are_checked_before_any_draw():
+    # A negative seed once ended in numpy's ValueError, not a ConfigurationError.
+    chain = BernoulliChain(horizon=10)
+    for name, value in (("trials", 0), ("seed", -1), ("delta", 1.0)):
+        with pytest.raises(ConfigurationError, match=f"{name} must"):
+            coverage_test(chain, bernstein_pair, **{"trials": 10, "delta": 0.05, "seed": 0,
+                                                    name: value})
+    for name, value in (("seed", -1), ("sandwich_trials", 0), ("planner_runs", 0)):
+        with pytest.raises(ConfigurationError, match=f"{name} must"):
+            verify_lemmas(**{name: value})
+
+
 def test_verify_lemmas_smoke():
     report = verify_lemmas(seed=0, coverage_trials=400, sandwich_trials=4,
                            planner_runs=4)

@@ -256,6 +256,9 @@ def test_config_default_alpha_caps_at_one():
         {"M": 1, "N": 1, "delta": 1.0},
         {"M": 1, "N": 1, "alpha": 0.0},
         {"M": 1, "N": 1, "alpha": 1.5},
+        {"M": 1, "N": 1, "lambda_reg": float("inf")},
+        {"M": 1, "N": 1, "lambda_reg": float("nan")},
+        {"M": 1.0, "N": 1},
     ],
 )
 def test_config_validation(kwargs):

@@ -554,6 +554,14 @@ def test_standin_file_is_deterministic(tmp_path):
     assert set(parsed.labels.tolist()) <= {0.0, 1.0, 2.0, 3.0, 4.0}
 
 
+@pytest.mark.parametrize("name, value", [("n_queries", 0), ("raw_dim", 0), ("seed", -1)])
+def test_standin_generation_rejects_settings_out_of_range(tmp_path, name, value):
+    # A negative seed once ended in numpy's ValueError; nothing is written.
+    with pytest.raises(ConfigurationError, match=f"{name} must"):
+        generate_standin_file(tmp_path / "s.txt", **{"n_queries": 5, "seed": 0, name: value})
+    assert not list(tmp_path.iterdir())
+
+
 #: sha256 of stand-in files by (n_queries, seed, raw_dim); the benchmark's
 #: stored references are computed from such files, so their bytes must not
 #: change. (500, 1, 700) is the trial-standin input at seed 1, (30, 0, 1) has

@@ -82,6 +82,10 @@ def test_ridge_fit_rejects_bad_inputs():
         ridge_fit(dataset, 1.0)
     with pytest.raises(ConfigurationError):
         ridge_fit(InteractionDataset(2), 0.0)
+    # An infinite lambda_reg once failed as features too large.
+    for lambda_reg in (float("inf"), float("nan")):
+        with pytest.raises(ConfigurationError, match="lambda_reg must be positive and finite"):
+            ridge_fit(_dataset([[1.0, 0.0]], [1.0]), lambda_reg)
 
 
 @pytest.mark.parametrize("features, rewards, message", [

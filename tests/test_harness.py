@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 from pathlib import Path
@@ -16,7 +17,9 @@ from mixplan import (
     sample,
 )
 from mixplan.baselines import RandomPolicy
+from mixplan import cli
 from mixplan.cli import main as cli_main
+from mixplan.core import _RANGES
 from mixplan import estimator as estimator_module
 from mixplan import harness
 from mixplan.artifact import write_artifact
@@ -46,6 +49,10 @@ def test_run_config_validation(tmp_path):
         RunConfig(environment="synthetic", algorithm="nope", N=10)
     with pytest.raises(ConfigurationError):
         RunConfig(environment="rank_dataset", algorithm="random", N=10)
+    # Each of these once built: a field is checked whether or not the run reads it.
+    for fields in ({"seed": -1}, {"alpha": 1.5}, {"lambda_reg": float("nan")}):
+        with pytest.raises(ConfigurationError, match=f"{next(iter(fields))} must"):
+            RunConfig(environment="synthetic", algorithm="random", N=10, **fields)
     config = RunConfig(environment="synthetic", algorithm="random", N=10)
     assert config.M == 10
     round_trip = RunConfig.from_dict(config.to_dict())
@@ -531,7 +538,7 @@ def test_cli_eval_rejects_rank_dataset_before_drawing(tmp_path, capsys, n_eval):
 @pytest.mark.parametrize("text, message", [
     ('{"environment": "synthetic", ', "not valid JSON"),
     ('["synthetic", "random"]', "JSON object"),
-    ('{"environment": "synthetic", "algorithm": "random", "N": "abc"}', "'N' must be int"),
+    ('{"environment": "synthetic", "algorithm": "random", "N": "abc"}', "N must be an integer"),
     ('{"environment": "synthetic", "algorithm": "random", "N": 20, "delta": 0.9}', "'delta'"),
     ('{"environment": "synthetic", "algorithm": "random", "N": 20, "epsilon": 50.0}',
      "'epsilon'"),
@@ -551,27 +558,65 @@ def test_cli_run_experiment_rejects_bad_config_file(tmp_path, capsys, text, mess
 _RANK = {"algorithm": "random", "N": 10, "data_path": "missing.txt"}
 
 
+def _numeric_flags():
+    """(command, flag, dest) of every flag of type int or float, read from the parser."""
+    (commands,) = [action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    for command, parser in commands.choices.items():
+        for action in parser._actions:
+            if action.type in (int, float):
+                yield command, action.option_strings[0], action.dest
+
+
+# Each command's required flags, with values that pass; the case's own flag
+# comes last, where argparse lets it win. No file they name is ever read.
+_VALID_ARGS = {
+    "plan": ["--env", "hard_uniform", "--M", "4"],
+    "sample": ["--env", "hard_uniform", "--policy", "missing.npz", "--N", "4"],
+    "fit": ["--dataset", "missing.csv"],
+    "eval": ["--env", "hard_uniform", "--estimate", "missing.npz"],
+    "run-experiment": ["--environment", "synthetic", "--algorithm", "random", "--N", "4"],
+    "ingest-ltr": ["--path", "missing.txt"],
+}
+# Out-of-range values of each setting; any other is a count of at least 1.
+_OUT_OF_RANGE = {
+    "seed": ["-1"],
+    "lambda_reg": ["inf", "nan", "0", "-1"],
+    "alpha": ["0", "-0.5", "1.5", "inf", "nan"],
+    "actions": ["1", "0"],
+    "k": ["1", "0"],
+}
+_FLAG_CASES = [(command, flag, dest, value) for command, flag, dest in _numeric_flags()
+               for value in _OUT_OF_RANGE.get(dest, ["0", "-1"])]
+
+
 @pytest.mark.parametrize("args, config, message", [
     (["gen-standin", "--raw-dim", "0"], None, "raw_dim must be at least 1"),
     (["gen-standin", "--raw-dim", "-3"], None, "raw_dim must be at least 1"),
     (["ingest-ltr", "--path", "missing.txt", "--subsampled-dim", "-1"], None, "subsampled_dim"),
     (["ingest-ltr", "--path", "missing.txt", "--raw-dim", "5", "--subsampled-dim", "6"], None,
      "subsampled_dim"),
-    (["run-experiment"], dict(_RANK, environment="stand_in", rank_raw_dim=0), "subsampled_dim"),
+    (["run-experiment"], dict(_RANK, environment="stand_in", rank_raw_dim=0),
+     "rank_raw_dim must be at least 1"),
     (["run-experiment"], dict(_RANK, environment="rank_dataset", rank_subsampled_dim=-1),
      "subsampled_dim"),
     (["verify-lemmas", "--planner-runs", "0"], None, "planner_runs must be at least 1"),
     # --N 0 once read as unset and planned with N = M.
     (["plan", "--env", "hard_uniform", "--M", "4", "--N", "0"], None, "N must be at least 1"),
-], ids=["standin-raw-dim-0", "standin-raw-dim-negative", "ingest-subsampled-dim-negative",
-        "ingest-subsampled-above-raw", "config-rank-raw-dim-0",
-        "config-rank-subsampled-dim-negative", "verify-lemmas-zero-planner-runs",
-        "plan-zero-budget"])
-def test_cli_rejects_dimensions_and_run_counts_below_one(tmp_path, capsys, args, config,
-                                                         message):
+] + [([command, *_VALID_ARGS.get(command, []), flag, value], None, f"{dest} must")
+      for command, flag, dest, value in _FLAG_CASES],
+    ids=["standin-raw-dim-0", "standin-raw-dim-negative", "ingest-subsampled-dim-negative",
+         "ingest-subsampled-above-raw", "config-rank-raw-dim-0",
+         "config-rank-subsampled-dim-negative", "verify-lemmas-zero-planner-runs",
+         "plan-zero-budget"] + [f"{command}-{dest}={value}"
+                                for command, _, dest, value in _FLAG_CASES])
+def test_cli_rejects_dimensions_and_run_counts_below_one(tmp_path, monkeypatch, capsys, args,
+                                                         config, message):
     # Each once ended in a numpy traceback, or (zero planner runs) in a PASS
-    # report with an Infinity that is not valid JSON. The check comes before
-    # any input is read, so the missing ranking file is never reached.
+    # report with an Infinity that is not valid JSON, or ran with the value
+    # (a negative seed, an infinite lambda_reg, alpha outside (0, 1]). The
+    # check comes before any input is read, so no named file is ever reached.
+    monkeypatch.chdir(tmp_path)
     if config is not None:
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(config))
@@ -581,6 +626,46 @@ def test_cli_rejects_dimensions_and_run_counts_below_one(tmp_path, capsys, args,
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "runs").exists()
+
+
+def test_every_numeric_cli_flag_has_a_setting_range():
+    # cli.main checks a flag only through its entry, so a numeric flag needs one.
+    assert {dest for _, _, dest in _numeric_flags()} <= set(_RANGES)
+
+
+def test_refused_stand_in_run_leaves_nothing_behind(tmp_path, monkeypatch, capsys):
+    # The stand-in file under runs/ was once generated before lambda_reg was read.
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["run-experiment", "--environment", "stand_in", "--algorithm", "random",
+                     "--N", "10", "--lambda-reg", "-1", "--out", "out"]) == 2
+    assert "error: lambda_reg must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lambda_reg", np.inf), ("lambda_reg", 0.0), ("lambda_reg", -1.0),
+    ("alpha", 1.5), ("alpha", np.nan),
+])
+def test_artifacts_with_settings_out_of_range_are_refused(tmp_path, capsys, field, value):
+    policy = dict(features=np.eye(2), phase_starts=np.array([1]), M=np.array(2),
+                  lambda_reg=np.array(1.0), alpha=np.array(1.0))
+    policy[field] = np.array(value)
+    write_artifact(tmp_path / "policy.npz", "mixture-policy", 2, **policy)
+    with pytest.raises(ConfigurationError, match=f"{field} must"):
+        MixturePolicy.load(tmp_path / "policy.npz")
+    out = tmp_path / "out.csv"
+    assert cli_main(["sample", "--env", "hard_uniform", "--policy", str(tmp_path / "policy.npz"),
+                     "--N", "3", "--out", str(out)]) == 2
+    if field == "lambda_reg":
+        write_artifact(tmp_path / "estimate.npz", "ridge-estimate", 2, theta_hat=np.zeros(2),
+                       sigma=np.eye(2), lambda_reg=np.array(value), n_samples=np.array(0))
+        with pytest.raises(ConfigurationError, match="lambda_reg must"):
+            cli._load_estimate(tmp_path / "estimate.npz")
+        assert cli_main(["eval", "--env", "hard_uniform", "--estimate",
+                         str(tmp_path / "estimate.npz"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field} must" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -697,7 +782,7 @@ def test_cli_gen_standin_splits_feed_ingest(tmp_path):
 
 @pytest.mark.parametrize("sizes, message", [
     (["--raw-dim", "0"], "raw_dim must be at least 1"),
-    (["--queries", "0"], "need at least one query"),
+    (["--queries", "0"], "queries must be at least 1"),
 ], ids=["raw-dim-0", "queries-0"])
 def test_cli_gen_standin_splits_rejects_bad_sizes_without_a_directory(tmp_path, capsys, sizes,
                                                                       message):
