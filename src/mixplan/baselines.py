@@ -88,7 +88,7 @@ def full_feedback(instance: BanditInstance, n: int,
     on ``dataset[:ends[i]]`` is an approximate upper bound for the
     bandit-feedback strategies at i + 1 contexts.
     """
-    law, noisy = instance.law, instance.noisy
+    law, noisy = instance.context_law, instance.noisy
     draws, normals = [], []
     for _ in range(n):
         draws.extend(law.draw(rng, 1))

@@ -4,6 +4,7 @@ verify-lemmas, gen-standin, ingest-ltr, histogram."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -170,22 +171,10 @@ def _cmd_run_experiment(args) -> int:
             raise ConfigurationError(f"{args.config} is not valid JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise ConfigurationError(f"{args.config} must hold a JSON object of RunConfig fields")
-    overrides = {
-        "environment": args.environment,
-        "algorithm": args.algorithm,
-        "N": args.N,
-        "M": args.M,
-        "alpha": args.alpha,
-        "lambda_reg": args.lambda_reg,
-        "seed": args.seed,
-        "n_trials": args.n_trials,
-        "eval_every": args.eval_every,
-        "eval_set_size": args.eval_set_size,
-        "output_path": args.out,
-        "data_path": args.data_path,
-        "workers": args.workers,
-    }
-    payload.update({k: v for k, v in overrides.items() if v is not None})
+    # Every flag of the command but --config stores to a RunConfig field.
+    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    payload.update({name: value for name, value in vars(args).items()
+                    if name in fields and value is not None})
     result = run_experiment(RunConfig.from_dict(payload))
     final = result.summary["final"]
     print(f"wrote {result.metrics_path}; final policy value "
@@ -305,10 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-set-size", type=int, default=None)
     p.add_argument("--data-path", default=None)
     p.add_argument("--workers", type=int, default=None,
-                   help="trials run at once in worker processes (default 1); each trial's "
-                        "evaluation points share the cores left to it, cpus // workers, "
-                        "when the BLAS runs one thread")
-    p.add_argument("--out", default=None)
+                   help="trials run at once in worker processes (default 1, at most one per "
+                        "trial); the cores are divided by the number of trials that run at "
+                        "once, and each trial's evaluation points share its part when the "
+                        "BLAS runs one thread")
+    p.add_argument("--out", dest="output_path", default=None)
     p.set_defaults(func=_cmd_run_experiment)
 
     p = sub.add_parser("verify-lemmas", help="run the concentration verification suite")

@@ -14,9 +14,11 @@ Contexts drawn many at a time come as a ``ContextBatch``: their ids and one
 stacked (n, A, d) feature array. An instance's ``ContextLaw`` splits its
 context law in two: the generator calls of each context, made one context
 after another in stream order, and one vectorised step that builds the
-batch from them. ``BanditInstance.draw_contexts`` is bit for bit n
-``context_sampler`` calls; an instance without a law stacks the results of
-its ``context_sampler`` calls.
+batch from them. Every ``BanditInstance`` is built from its law, and
+``BanditInstance.draw_contexts`` is bit for bit n ``context_sampler``
+calls, each the law's one-context case. A plain sampler becomes a law
+through ``ContextLaw.of_sampler``, whose batches stack the sampled
+contexts.
 
 The reward contract: the reward of action a in a context is entry a of the
 context's recorded reward row in ``labels`` (relevance labels, say), which
@@ -260,10 +262,6 @@ class ContextLaw:
             n_actions=lambda context: context.n_actions,
         )
 
-    def sample(self, rng: np.random.Generator) -> Context:
-        """One context: the one-context case of ``build(draw(rng, n))``."""
-        return self.build(self.draw(rng, 1))[0]
-
 
 @dataclass(frozen=True)
 class BanditInstance:
@@ -273,27 +271,23 @@ class BanditInstance:
     mapping from context id to that context's reward row (relevance labels,
     say); an instance takes exactly one of the two. A labelled instance runs
     through the full pipeline, but value and suboptimality evaluation
-    against theta_star is unavailable for it.
-
-    The context law is ``context_law`` when given, and ``context_sampler``
-    is then its one-context case; otherwise it is ``context_sampler`` alone.
+    against theta_star is unavailable for it. The contexts come from
+    ``context_law``.
     """
 
     d: int
     theta_star: Optional[np.ndarray]
-    context_sampler: Optional[ContextSampler] = None
+    context_law: ContextLaw
     noise_std: float = 1.0
     labels: Optional[Mapping[str, np.ndarray]] = None
-    context_law: Optional[ContextLaw] = None
 
     def __post_init__(self):
         check_settings(d=self.d)
         if self.noise_std < 0:
             raise ConfigurationError("noise_std must be nonnegative")
-        if self.context_sampler is None:
-            if self.context_law is None:
-                raise ConfigurationError("instance needs a context_sampler or a context_law")
-            object.__setattr__(self, "context_sampler", self.context_law.sample)
+        if not isinstance(self.context_law, ContextLaw):
+            raise ConfigurationError(
+                f"context_law must be a ContextLaw, got {type(self.context_law).__name__}")
         if (self.theta_star is None) == (self.labels is None):
             raise ConfigurationError("instance needs exactly one of theta_star and labels")
         if self.theta_star is not None:
@@ -332,21 +326,19 @@ class BanditInstance:
         return mean + self.noise_std * float(rng.standard_normal())
 
     @property
-    def law(self) -> ContextLaw:
-        """The context law: ``context_law``, or that of ``context_sampler``."""
-        if self.context_law is not None:
-            return self.context_law
-        return ContextLaw.of_sampler(self.context_sampler)
-
-    @property
     def noisy(self) -> bool:
         """Whether each reward draws a standard normal (linear rewards, noise_std > 0)."""
         return self.labels is None and self.noise_std != 0.0
 
+    def context_sampler(self, rng: np.random.Generator) -> Context:
+        """The next context of the stream: the one-context case of
+        ``draw_contexts``."""
+        return self.draw_contexts(rng, 1)[0]
+
     def build_contexts(self, draws: Sequence) -> Sequence[Context]:
         """The contexts of a run of the law's draws, checked against the
         instance dimension."""
-        contexts = self.law.build(draws)
+        contexts = self.context_law.build(draws)
         dims = {contexts.d} if isinstance(contexts, ContextBatch) else {c.d for c in contexts}
         if dims - {self.d}:
             raise ContractViolation("context dimension does not match the instance")
@@ -359,7 +351,7 @@ class BanditInstance:
         state."""
         if n < 1:
             raise ConfigurationError(f"need at least one context, got {n}")
-        return self.build_contexts(self.law.draw(rng, n))
+        return self.build_contexts(self.context_law.draw(rng, n))
 
     def rewards(self, contexts: Sequence[Context], actions,
                 normals: Optional[np.ndarray]) -> np.ndarray:

@@ -152,11 +152,12 @@ def _live_rows(feats: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return live, rows
 
 
-def _block_norms(source, feats: np.ndarray,
+def _block_norms(chol: np.ndarray, feats: np.ndarray,
                  live: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """The (g, A) norms of a (g, A, d) block of contexts' feature rows
-    against ``source`` (a snapshot or a covariance), bit for bit as one
-    ``source.mahalanobis_rows(context.features)`` per context.
+    against the covariance whose C-ordered lower Cholesky factor is
+    ``chol`` (a snapshot's ``factor`` or a covariance's ``factor()``), bit
+    for bit as one ``mahalanobis_rows(context.features)`` per context.
 
     Each column of a triangular solve rounds the same whatever else the
     solve holds, as long as it holds two or more columns; a one-column solve
@@ -167,7 +168,6 @@ def _block_norms(source, feats: np.ndarray,
     written as 0.0. The rows are not checked for finiteness: they are
     ``Context`` or ``ContextBatch`` features, checked when those were built.
     """
-    chol = source.factor if isinstance(source, CovarianceSnapshot) else source.factor()
     g, n_actions, d = feats.shape
     if d != chol.shape[0]:
         raise ContractViolation(f"context dimension {d} != {chol.shape[0]}")

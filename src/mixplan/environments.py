@@ -13,11 +13,11 @@ Ranking files are read into columns (``RankFile``); feature indices are
 non-finite label or value or a repeated index is rejected. Generators are
 pure given their seed; parsers are pure given the file bytes.
 
-The synthetic, random-unit and non-concentrating instances carry a
-``ContextLaw``: the generator calls of each context, then one vectorised
-step that builds a ``ContextBatch``; their ``context_sampler`` is the law's
-one-context case. The two other hard instances and the ranking stream are
-plain samplers, whose batches stack the sampled contexts.
+Every instance is built from a ``ContextLaw``. The synthetic, random-unit
+and non-concentrating laws make the generator calls of each context, then
+build a ``ContextBatch`` in one vectorised step. The two other hard
+instances and the ranking stream take the law of a plain sampler
+(``ContextLaw.of_sampler``), whose batches stack the sampled contexts.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def make_hard_uniform(A: int) -> BanditInstance:
     return BanditInstance(
         d=2,
         theta_star=np.array([1.0, 0.0]),
-        context_sampler=lambda rng: context,
+        context_law=ContextLaw.of_sampler(lambda rng: context),
         noise_std=1.0,
     )
 
@@ -170,7 +170,7 @@ def make_hard_goptimal(k: int) -> BanditInstance:
     return BanditInstance(
         d=d,
         theta_star=theta,
-        context_sampler=lambda rng: contexts[int(rng.integers(k))],
+        context_law=ContextLaw.of_sampler(lambda rng: contexts[int(rng.integers(k))]),
         noise_std=1.0,
     )
 
@@ -477,7 +477,7 @@ def make_rank_instance(ranked: Sequence[RankedContext],
     return BanditInstance(
         d=d,
         theta_star=None,
-        context_sampler=stream,
+        context_law=ContextLaw.of_sampler(stream),
         noise_std=0.0,
         labels={rc.context.context_id: rc.relevance for rc in ranked},
     )

@@ -267,7 +267,7 @@ def evaluate(estimate: RidgeEstimate, instance: BanditInstance,
     gaps = np.empty(n)
     values = np.empty(n)
     uncertainties = np.empty(n)
-    cov = estimate.sigma_prime_n
+    chol = estimate.sigma_prime_n.factor()
     for position, feats, true, best, live in blocks:
         # A stacked product scores each (A, d) matrix on its own, bit for bit
         # like one context at a time; a flattened (g*A, d) product does not.
@@ -275,7 +275,7 @@ def evaluate(estimate: RidgeEstimate, instance: BanditInstance,
         picked = true[np.arange(len(feats)), chosen]
         values[position] = picked
         gaps[position] = best - picked
-        uncertainties[position] = _block_norms(cov, feats, live).max(axis=1)
+        uncertainties[position] = _block_norms(chol, feats, live).max(axis=1)
     scale = math.sqrt(n) if n > 1 else 1.0
     return EvaluationReport(
         expected_max_uncertainty=float(uncertainties.mean()),

@@ -25,10 +25,14 @@ policy is frozen before sampling begins and evaluation draws from its own
 stream, so fitting prefixes of one collected dataset gives exactly the
 numbers that refitting during collection would.
 
-Once collected, the dataset is fixed, so the evaluation points are
-independent: when every loaded BLAS runs one thread per call, a trial runs
-its points on a thread pool that shares the cores left to it
-(``_point_threads``), and the rows come back in point order.
+``run_experiment`` maps ``run_trial`` over the ``RunConfig`` itself and
+the trial indices; with ``workers`` above 1 it does so in worker
+processes, no more than there are trials. Once collected, a trial's
+dataset is fixed, so its evaluation points are independent: when every
+loaded BLAS runs one thread per call, a trial runs its points on a thread
+pool over its share of the cores, which are divided by the number of
+trials that run at once (``_point_threads``), and the rows come back in
+point order.
 
 Everything written to metrics.csv is bit-reproducible for a fixed
 configuration, whether the points run serially or at once; wall-clock
@@ -198,6 +202,8 @@ def _rank_env(rank_data, config: RunConfig, seeds) -> _TrialEnv:
     offline_rng = np.random.default_rng(s_offline)
     offline_order = offline_rng.permutation(len(offline_pool))
     m_eff = min(config.M, len(offline_pool))
+    if m_eff < config.M:
+        logger.info("rank offline contexts capped at %d, the size of the offline pool", m_eff)
     offline_contexts = [offline_pool[int(i)].context for i in offline_order[:m_eff]]
 
     online_order = np.random.default_rng(s_stream).permutation(len(train))[:horizon]
@@ -284,8 +290,9 @@ def _eval_points(horizon: int, eval_every: int) -> list[int]:
 
 def _point_threads(config: RunConfig) -> int:
     """How many of a trial's evaluation points run at once: the cores this
-    process may use, shared among ``config.workers`` trials, when every
-    loaded BLAS runs each call on one thread; otherwise 1.
+    process may use, shared among the trials that run at once (``workers``,
+    at most ``n_trials``), when every loaded BLAS runs each call on one
+    thread; otherwise 1.
 
     A multi-threaded BLAS already spreads each call over the cores, and
     points run beside it oversubscribe them: on a 2-core stand-in trial at
@@ -298,7 +305,7 @@ def _point_threads(config: RunConfig) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has it
         cpus = os.cpu_count() or 1
-    return max(1, cpus // config.workers)
+    return max(1, cpus // min(config.workers, config.n_trials))
 
 
 def run_trial(config: RunConfig, trial: int) -> list[MetricRow]:
@@ -354,11 +361,6 @@ def run_trial(config: RunConfig, trial: int) -> list[MetricRow]:
         return list(pool.map(point, points, prefix_rows))
 
 
-def _trial_worker(payload: tuple) -> list[MetricRow]:
-    config_dict, trial = payload
-    return run_trial(RunConfig.from_dict(config_dict), trial)
-
-
 def _write_metrics(rows: Sequence[MetricRow], output_dir: Path) -> None:
     lines = ["trial,n_samples_seen,policy_value,expected_suboptimality,expected_max_uncertainty"]
     for row in rows:
@@ -411,16 +413,17 @@ def run_experiment(config: RunConfig) -> RunResult:
     if config.environment == "stand_in":
         config = _materialize_standin(config)
 
-    jobs = [(config.to_dict(), trial) for trial in range(config.n_trials)]
-    if config.workers > 1:
+    configs, trials = [config] * config.n_trials, range(config.n_trials)
+    workers = min(config.workers, config.n_trials)
+    if workers > 1:
         # Imported here: concurrent.futures.process pulls in multiprocessing,
         # socket and subprocess, start-up cost that one-worker runs never use.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            per_trial = list(pool.map(_trial_worker, jobs))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_trial = list(pool.map(run_trial, configs, trials))
     else:
-        per_trial = [run_trial(config, trial) for trial in range(config.n_trials)]
+        per_trial = list(map(run_trial, configs, trials))
 
     # The output directory is made once every trial has run: a failed run leaves none.
     output_dir = Path(

@@ -138,7 +138,7 @@ def _greedy_block(snapshot: CovarianceSnapshot,
     values = np.empty(n)
     rows = np.empty((n, snapshot.d))
     for block, feats in _context_blocks(contexts, snapshot.d):
-        norms = _block_norms(snapshot, feats)
+        norms = _block_norms(snapshot.factor, feats)
         chosen = np.argmax(norms, axis=1)
         picked = np.arange(len(feats))
         actions[block] = chosen

@@ -88,7 +88,7 @@ def _draw_run(policy, instance: BanditInstance, most: int, rng: np.random.Genera
     (when it shares ``rng``; else None) and the rewards' normals (None when
     the instance draws none). A run ends once its contexts hold
     ``_RUN_FLOATS`` feature floats."""
-    law, noisy = instance.law, instance.noisy
+    law, noisy = instance.context_law, instance.noisy
     draws, policy_draws, normals = [], [], []
     floats = 0
     while len(draws) < most and floats < _RUN_FLOATS:

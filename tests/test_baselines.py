@@ -3,6 +3,7 @@ import pytest
 
 from mixplan import (
     BanditInstance,
+    ContextLaw,
     LargestNormPolicy,
     RandomPolicy,
     RankDatasetSpec,
@@ -58,7 +59,8 @@ def test_largest_norm_matches_scan_oracle(rng):
 def _streaming_instance(theta, contexts, noise_std):
     stream = iter(contexts)
     return BanditInstance(d=len(theta), theta_star=np.asarray(theta, dtype=np.float64),
-                          context_sampler=lambda rng: next(stream), noise_std=noise_std)
+                          context_law=ContextLaw.of_sampler(lambda rng: next(stream)),
+                          noise_std=noise_std)
 
 
 def test_supervised_oracle_recovers_theta_on_span(rng):

@@ -35,7 +35,7 @@ from mixplan import (
     sample,
 )
 from mixplan import sampler as sampler_module
-from mixplan.core import ContextBatch
+from mixplan.core import ContextBatch, ContextLaw
 from mixplan.environments import synthetic_action_layout
 from mixplan.estimator import EvaluationSet, evaluate
 
@@ -97,9 +97,9 @@ def _bare_instances(count):
     instances = []
     for _ in range(count):
         stream = iter(contexts)
+        law = ContextLaw.of_sampler(lambda rng, stream=stream: next(stream))
         instances.append(BanditInstance(d=4, theta_star=np.array([0.5, -1.0, 0.25, 0.0]),
-                                        context_sampler=lambda rng, stream=stream: next(stream),
-                                        noise_std=0.3))
+                                        context_law=law, noise_std=0.3))
     return instances
 
 
@@ -303,12 +303,13 @@ def test_evaluation_set_on_a_batch_equals_one_on_a_list(name):
     d = batch.d
     rng = np.random.default_rng(9)
     theta = rng.normal(size=d)
-    instance = BanditInstance(d=d, theta_star=theta, context_sampler=lambda rng: batch[0])
+    law = ContextLaw.of_sampler(lambda rng: batch[0])
+    instance = BanditInstance(d=d, theta_star=theta, context_law=law)
     estimate = ridge_fit(make_dataset(d, [
         InteractionRecord(f"t{i}", 0, rng.normal(size=d), float(rng.normal())) for i in range(40)
     ]), 1.0)
     labels = [rng.normal(size=batch.n_actions) for _ in range(len(batch))]
-    labelled = BanditInstance(d=d, theta_star=None, context_sampler=lambda rng: batch[0],
+    labelled = BanditInstance(d=d, theta_star=None, context_law=law,
                               labels=dict(zip(batch.ids, labels)))
     reports = [
         evaluate(estimate, instance, EvaluationSet(batch, theta_star=theta)),

@@ -5,6 +5,7 @@ from mixplan import (
     BanditInstance,
     ConfigurationError,
     Context,
+    ContextLaw,
     ContractViolation,
     ExperimentConfig,
     InteractionDataset,
@@ -20,7 +21,7 @@ def _fixed_instance(theta, noise_std=0.0):
     return BanditInstance(
         d=len(theta),
         theta_star=theta,
-        context_sampler=lambda rng: context,
+        context_law=ContextLaw.of_sampler(lambda rng: context),
         noise_std=noise_std,
     )
 
@@ -124,27 +125,36 @@ def test_context_features_are_frozen():
 def test_instance_validates_theta():
     context = make_context([[1.0, 0.0]])
     with pytest.raises(ContractViolation):
-        BanditInstance(d=2, theta_star=np.array([1.0]), context_sampler=lambda rng: context)
+        BanditInstance(d=2, theta_star=np.array([1.0]),
+                       context_law=ContextLaw.of_sampler(lambda rng: context))
     with pytest.raises(ContractViolation):
         BanditInstance(
-            d=2, theta_star=np.array([np.inf, 0.0]), context_sampler=lambda rng: context
+            d=2, theta_star=np.array([np.inf, 0.0]),
+            context_law=ContextLaw.of_sampler(lambda rng: context)
         )
     with pytest.raises(ConfigurationError):
-        BanditInstance(d=2, theta_star=None, context_sampler=lambda rng: context)
+        BanditInstance(d=2, theta_star=None, context_law=ContextLaw.of_sampler(lambda rng: context))
+
+
+def test_instance_takes_its_contexts_from_a_context_law_only():
+    context = make_context([[1.0, 0.0]])
+    with pytest.raises(ConfigurationError, match="context_law must be a ContextLaw, got function"):
+        BanditInstance(d=2, theta_star=np.zeros(2), context_law=lambda rng: context)
 
 
 def test_instance_takes_exactly_one_of_theta_and_labels():
     context = make_context([[1.0, 0.0]])
     for theta_star, labels in ((None, None), (np.zeros(2), {"ctx": np.array([2.0])})):
         with pytest.raises(ConfigurationError, match="exactly one of theta_star and labels"):
-            BanditInstance(d=2, theta_star=theta_star, context_sampler=lambda rng: context,
-                           labels=labels)
+            BanditInstance(d=2, theta_star=theta_star,
+                           context_law=ContextLaw.of_sampler(lambda rng: context), labels=labels)
 
 
 def test_labelled_rewards_need_the_context_label_row(rng):
     labelled = make_context([[1.0, 0.0], [0.0, 1.0]], "q1")
     unlabelled = make_context([[1.0, 0.0]], "q2")
-    instance = BanditInstance(d=2, theta_star=None, context_sampler=lambda rng: labelled,
+    instance = BanditInstance(d=2, theta_star=None,
+                              context_law=ContextLaw.of_sampler(lambda rng: labelled),
                               noise_std=0.0, labels={"q1": np.array([3.0, 1.0]),
                                                      "q3": np.array([1.0, 2.0, 0.0])})
     assert instance.reward(labelled, 1, rng) == 1.0

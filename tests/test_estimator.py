@@ -21,6 +21,7 @@ from mixplan import (
     InteractionDataset,
     InteractionRecord,
     Context,
+    ContextLaw,
     EvaluationReport,
     RidgeEstimate,
     evaluate,
@@ -129,7 +130,7 @@ def _instance_with_contexts(theta, contexts):
     return BanditInstance(
         d=len(theta),
         theta_star=np.asarray(theta, dtype=np.float64),
-        context_sampler=lambda rng: contexts[0],
+        context_law=ContextLaw.of_sampler(lambda rng: contexts[0]),
         noise_std=0.0,
     )
 
@@ -139,7 +140,7 @@ def _labelled_instance(contexts, labels):
     return BanditInstance(
         d=contexts[0].d,
         theta_star=None,
-        context_sampler=lambda rng: contexts[0],
+        context_law=ContextLaw.of_sampler(lambda rng: contexts[0]),
         labels={c.context_id: label for c, label in zip(contexts, labels)},
     )
 
@@ -190,7 +191,7 @@ def test_evaluate_requires_contexts_and_theta(rng):
     with pytest.raises(ConfigurationError):
         evaluate(estimate, instance, [])
     misspecified = BanditInstance(
-        d=3, theta_star=None, context_sampler=lambda rng: contexts[0],
+        d=3, theta_star=None, context_law=ContextLaw.of_sampler(lambda rng: contexts[0]),
         labels={c.context_id: np.zeros(c.n_actions) for c in contexts},
     )
     with pytest.raises(ContractViolation):
@@ -403,7 +404,7 @@ def live_row_mismatches(name) -> list:
                                if getattr(report, field) != getattr(expected, field)]
             cov = estimate.sigma_prime_n
             for b, block in enumerate(linear_set.blocks):
-                norms = covariance_module._block_norms(cov, block.features, block.live)
+                norms = covariance_module._block_norms(cov.factor(), block.features, block.live)
                 one_at_a_time = np.stack([cov.mahalanobis_rows(rows) for rows in block.features])
                 if norms.tobytes() != one_at_a_time.tobytes():
                     mismatches.append(f"norms/{k}/block {b}")

@@ -1,6 +1,8 @@
 import argparse
+import concurrent.futures
 import dataclasses
 import json
+import logging
 from pathlib import Path
 from unittest import mock
 
@@ -284,6 +286,43 @@ def test_worker_pool_matches_sequential(tmp_path):
     assert sequential.metrics_path.read_bytes() == parallel.metrics_path.read_bytes()
 
 
+@pytest.mark.parametrize("n_trials, pools", [(1, []), (2, [2])])
+def test_run_experiment_starts_no_more_trial_processes_than_trials(tmp_path, monkeypatch,
+                                                                   n_trials, pools):
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    run_experiment(_tiny_config(tmp_path, N=30, eval_every=30, n_trials=n_trials, workers=3))
+    assert opened == pools
+
+
+def test_rank_trial_logs_its_horizon_and_offline_caps(tmp_path, caplog):
+    data = tmp_path / "rank.txt"
+    generate_standin_file(data, n_queries=10, seed=3, raw_dim=20)
+    config = RunConfig(environment="rank_dataset", algorithm="planner_sampler", N=50, M=50,
+                       eval_every=10, data_path=str(data), rank_raw_dim=20,
+                       rank_subsampled_dim=10)
+    with caplog.at_level(logging.INFO, logger="mixplan.harness"):
+        run_trial(config, 0)
+    assert [record.getMessage() for record in caplog.records] == [
+        "rank horizon capped at 6 distinct contexts",
+        "rank offline contexts capped at 2, the size of the offline pool",
+    ]
+
+
 def test_histogram_mass_and_normalization():
     instance = make_synthetic(21)
     rng = np.random.default_rng(2)
@@ -556,6 +595,15 @@ def test_cli_run_experiment_rejects_bad_config_file(tmp_path, capsys, text, mess
 
 
 _RANK = {"algorithm": "random", "N": 10, "data_path": "missing.txt"}
+
+
+def test_every_run_experiment_flag_but_config_stores_to_a_run_config_field():
+    (commands,) = [action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    dests = {action.dest for action in commands.choices["run-experiment"]._actions
+             if action.option_strings and action.dest not in ("help", "config")}
+    assert dests <= {field.name for field in dataclasses.fields(RunConfig)}
+    assert "output_path" in dests
 
 
 def _numeric_flags():

@@ -104,8 +104,9 @@ def test_points_run_concurrently_only_at_one_blas_thread(monkeypatch):
         monkeypatch.setattr(_lapack, "blas_threads", lambda threads=threads: threads)
         assert harness._point_threads(config) == expected
     monkeypatch.setattr(_lapack, "blas_threads", lambda: 1)
-    assert harness._point_threads(RunConfig(**{**config.to_dict(), "workers": 3})) == 1
-    assert harness._point_threads(RunConfig(**{**config.to_dict(), "workers": 2})) == 2
+    for n_trials, workers, expected in ((3, 3, 1), (2, 2, 2), (1, 3, 4)):
+        at_once = RunConfig(**{**config.to_dict(), "n_trials": n_trials, "workers": workers})
+        assert harness._point_threads(at_once) == expected
 
 
 def test_more_point_threads_than_cores_switching_often_give_the_serial_rows(monkeypatch):

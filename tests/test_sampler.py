@@ -6,6 +6,7 @@ import pytest
 from mixplan import (
     BanditInstance,
     ConfigurationError,
+    ContextLaw,
     DataError,
     ExperimentConfig,
     InteractionDataset,
@@ -30,7 +31,7 @@ def _fixed_instance(theta, rows, noise_std=0.0):
     return BanditInstance(
         d=len(theta),
         theta_star=np.asarray(theta, dtype=np.float64),
-        context_sampler=lambda rng: context,
+        context_law=ContextLaw.of_sampler(lambda rng: context),
         noise_std=noise_std,
     )
 
