@@ -19,9 +19,9 @@ from .core import (
     DataError,
     ExperimentConfig,
     ParseError,
+    _readonly,
     check_settings,
 )
-from .covariance import RegularizedCovariance
 from .environments import (
     RANK_MAX_ACTIONS,
     SPLIT_FILES,
@@ -114,7 +114,7 @@ def _cmd_fit(args) -> int:
     write_artifact(
         args.out, ESTIMATE_FORMAT, ESTIMATE_VERSION,
         theta_hat=np.asarray(estimate.theta_hat, dtype="<f8"),
-        sigma=np.asarray(estimate.sigma_prime_n.matrix, dtype="<f8"),
+        sigma=np.asarray(estimate.sigma_prime_n, dtype="<f8"),
         lambda_reg=np.array(args.lambda_reg, dtype="<f8"),
         n_samples=np.array(estimate.n_samples, dtype="<i8"),
     )
@@ -128,21 +128,27 @@ def _load_estimate(path) -> RidgeEstimate:
         ("theta_hat", "sigma", "lambda_reg", "n_samples"),
         remedy="re-run `mixplan fit` to write a current estimate",
     )
-    theta_hat = payload["theta_hat"]
-    sigma = payload["sigma"]
+    theta_hat, sigma = payload["theta_hat"], payload["sigma"]
+    if theta_hat.dtype.kind != "f" or sigma.dtype.kind != "f":
+        raise ConfigurationError(f"{path}: theta_hat and sigma must be float arrays")
+    theta_hat, sigma = _readonly(theta_hat), _readonly(sigma)
     d = theta_hat.shape[0] if theta_hat.ndim == 1 else -1
     if sigma.shape != (d, d) or not (np.isfinite(theta_hat).all() and np.isfinite(sigma).all()):
         raise ConfigurationError(
             f"{path}: theta_hat {theta_hat.shape} and sigma {sigma.shape} must be finite, "
             "of shapes (d,) and (d, d)"
         )
-    cov = RegularizedCovariance.from_state(sigma, scalar(payload, "lambda_reg", float))
+    if not np.array_equal(sigma, sigma.T):  # used as stored: a fit writes it exactly symmetric
+        raise ConfigurationError(f"{path}: sigma is not symmetric")
+    check_settings(lambda_reg=scalar(payload, "lambda_reg", float))
+    n_samples = scalar(payload, "n_samples", int)
+    if n_samples < 0:
+        raise ConfigurationError(f"{path}: n_samples is negative ({n_samples})")
     try:
-        cov.factor()
+        np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         raise ConfigurationError(f"{path}: sigma is not positive definite") from None
-    return RidgeEstimate(theta_hat=theta_hat, sigma_prime_n=cov,
-                         n_samples=scalar(payload, "n_samples", int))
+    return RidgeEstimate(theta_hat=theta_hat, sigma_prime_n=sigma, n_samples=n_samples)
 
 
 def _cmd_eval(args) -> int:
@@ -166,8 +172,8 @@ def _cmd_run_experiment(args) -> int:
     payload = {}
     if args.config:
         try:
-            payload = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
+            payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"{args.config} is not valid JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise ConfigurationError(f"{args.config} must hold a JSON object of RunConfig fields")
@@ -295,9 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-path", default=None)
     p.add_argument("--workers", type=int, default=None,
                    help="trials run at once in worker processes (default 1, at most one per "
-                        "trial); the cores are divided by the number of trials that run at "
-                        "once, and each trial's evaluation points share its part when the "
-                        "BLAS runs one thread")
+                        "trial); the cores are divided by the trials that run at once, and a "
+                        "trial's evaluation points share its part when the BLAS runs one "
+                        "thread. Each process keeps the BLAS's thread count, so set "
+                        "OPENBLAS_NUM_THREADS=1 to run more than one worker")
     p.add_argument("--out", dest="output_path", default=None)
     p.set_defaults(func=_cmd_run_experiment)
 

@@ -39,7 +39,8 @@ are built, so it checks their dimension but does not scan them again; the
 public ``mahalanobis`` and ``mahalanobis_rows`` check every input.
 
 ``RegularizedCovariance`` is single-writer; hand out ``CovarianceSnapshot``
-objects (immutable) for concurrent readers.
+objects (immutable) for concurrent readers. It serves the code that writes:
+``plan``, the policy replay of ``MixturePolicy.load`` and the lab.
 """
 
 from __future__ import annotations
@@ -156,8 +157,9 @@ def _block_norms(chol: np.ndarray, feats: np.ndarray,
                  live: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """The (g, A) norms of a (g, A, d) block of contexts' feature rows
     against the covariance whose C-ordered lower Cholesky factor is
-    ``chol`` (a snapshot's ``factor`` or a covariance's ``factor()``), bit
-    for bit as one ``mahalanobis_rows(context.features)`` per context.
+    ``chol`` (a snapshot's ``factor``, or ``np.linalg.cholesky`` of a fit's
+    Sigma'_N), bit for bit as one ``mahalanobis_rows(context.features)``
+    per context.
 
     Each column of a triangular solve rounds the same whatever else the
     solve holds, as long as it holds two or more columns; a one-column solve
@@ -282,17 +284,6 @@ class RegularizedCovariance:
         # Upper bound on the log-determinant growth since _last_snapshot;
         # infinite once an update arrives without its snapshot norm.
         self._growth_bound = math.inf
-
-    @classmethod
-    def from_state(cls, matrix: np.ndarray, lambda_reg: float) -> "RegularizedCovariance":
-        """Rebuild a cumulative covariance (alpha = 1, no norm gate) from its
-        matrix, regularization included; the matrix is symmetrized as
-        (M + M^T) / 2 and factored on first use."""
-        matrix = np.asarray(matrix, dtype=np.float64)
-        cov = cls(matrix.shape[0], lambda_reg, 1.0, norm_cap=None)
-        cov.matrix = (matrix + matrix.T) * 0.5
-        cov._dirty = True
-        return cov
 
     def factor(self) -> np.ndarray:
         """Current lower Cholesky factor, refreshed lazily after updates.

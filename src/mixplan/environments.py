@@ -308,19 +308,22 @@ def parse_rank_file(path) -> RankFile:
     """Parse a sparse ranking file into columns, preserving order.
 
     Lines look like ``label qid:<id> idx:val idx:val ...`` with 1-based
-    feature indices; ``#`` starts a comment. A malformed line raises
-    ParseError with its line number as it is read. Once the whole file is
-    read, the first line with a non-finite label or value or a repeated
-    index raises ParseError: a syntax fault is reported before these even
-    when it comes later in the file.
+    feature indices; ``#`` starts a comment. A malformed line, or one that
+    is not UTF-8 text, raises ParseError with its line number as it is read.
+    Once the whole file is read, the first line with a non-finite label or
+    value or a repeated index raises ParseError: a syntax fault is reported
+    before these even when it comes later in the file.
     """
     from array import array  # an extension module: loaded by the runs that read ranking files
     qids: dict[str, int] = {}
     query, labels, ends, lines = array("q"), array("d"), array("q"), array("q")
     indices, values = array("q"), array("d")
-    with Path(path).open() as handle:
+    with Path(path).open("rb") as handle:
         for line_number, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
+            try:
+                line = raw.decode("utf-8").split("#", 1)[0].strip()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path} is not UTF-8 text: {exc}", line_number) from None
             if not line:
                 continue
             parts = line.split()

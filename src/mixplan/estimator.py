@@ -3,9 +3,11 @@
 Fits theta_hat by regularized least squares on an interaction dataset and
 Monte-Carlo estimates the expected maximum uncertainty, policy value, and
 suboptimality of the extracted greedy policy over a held-out context set.
-Every application of the inverse covariance goes through a factorization
-solve. The harness fits prefixes ``dataset[:n]`` of one collected dataset,
-whose columns are views, so no fit copies its rows.
+A fit is two read-only arrays, theta_hat and the Gram matrix
+Sigma'_N = lambda I + Phi^T Phi; ``evaluate`` factors Sigma'_N once per
+call and applies its inverse by triangular solves. The harness fits
+prefixes ``dataset[:n]`` of one collected dataset, whose columns are
+views, so no fit copies its rows.
 
 The ridge solve calls LAPACK ``dpotrf`` and ``dpotrs`` directly, the two
 calls ``scipy.linalg.cho_solve(cho_factor(m, lower=True), rhs)`` makes, from
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -56,15 +58,15 @@ from .core import (
     InteractionDataset,
     check_settings,
 )
-from .covariance import RegularizedCovariance, _block_norms, _context_blocks, _live_rows
+from .covariance import _block_norms, _context_blocks, _live_rows
 
 
 @dataclass(frozen=True)
 class RidgeEstimate:
-    """Least-squares parameter estimate with its cumulative covariance (alpha = 1)."""
+    """Least-squares estimate and its Gram matrix Sigma'_N, both read-only arrays."""
 
     theta_hat: np.ndarray
-    sigma_prime_n: RegularizedCovariance
+    sigma_prime_n: np.ndarray
     n_samples: int
 
     @property
@@ -84,14 +86,8 @@ class EvaluationReport:
     policy_value_stderr: float
 
     def to_json_dict(self, config_echo: Optional[dict] = None) -> dict:
-        payload = {
-            "expected_max_uncertainty": self.expected_max_uncertainty,
-            "expected_suboptimality": self.expected_suboptimality,
-            "policy_value": self.policy_value,
-            "n_eval_contexts": self.n_eval_contexts,
-            "suboptimality_stderr": self.suboptimality_stderr,
-            "policy_value_stderr": self.policy_value_stderr,
-        }
+        """The report's fields, in order, plus ``config_echo`` as ``config``."""
+        payload = asdict(self)
         if config_echo is not None:
             payload["config"] = dict(config_echo)
         return payload
@@ -103,16 +99,13 @@ class EvaluationReport:
 def ridge_fit(dataset: InteractionDataset, lambda_reg: float) -> RidgeEstimate:
     """Solve (Phi^T Phi + lambda I) theta = Phi^T r via a Cholesky solve.
 
-    An empty dataset is allowed and yields theta_hat = 0, the ridge solution.
-    A prefix ``dataset[:n]`` fits its columns' views in place, with the same
-    bits as a dataset built from the first n steps.
+    An empty dataset is allowed and yields theta_hat = 0, the ridge solution,
+    and Sigma'_N = lambda I. A prefix ``dataset[:n]`` fits its columns' views
+    in place, with the same bits as a dataset built from the first n steps.
     """
     check_settings(lambda_reg=lambda_reg)
     features, rewards = dataset.feature_matrix(), dataset.rewards()
     n, d = features.shape
-    if n == 0:
-        cov = RegularizedCovariance(d, lambda_reg, alpha=1.0, norm_cap=None)
-        return RidgeEstimate(theta_hat=np.zeros(d), sigma_prime_n=cov, n_samples=0)
     if not np.isfinite(rewards).all():
         raise DataError("non-finite rewards in dataset")
     if not np.isfinite(features).all():
@@ -120,13 +113,12 @@ def ridge_fit(dataset: InteractionDataset, lambda_reg: float) -> RidgeEstimate:
     # Finite features can still overflow the products; that is reported as
     # the DataError below, not as a RuntimeWarning from the matmul.
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = RegularizedCovariance.from_state(lambda_reg * np.eye(d) + features.T @ features,
-                                               lambda_reg)
+        gram = lambda_reg * np.eye(d) + features.T @ features
         rhs = features.T @ rewards
-    if not (np.isfinite(cov.matrix).all() and np.isfinite(rhs).all()):
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
         raise DataError("features too large: the ridge normal equations overflow")
     # The two LAPACK calls cho_solve(cho_factor(m, lower=True), rhs) makes.
-    factor, info = dpotrf(cov.matrix, lower=1, clean=0)
+    factor, info = dpotrf(gram, lower=1, clean=0)
     if info > 0:
         raise DataError(f"ridge Gram matrix is not positive definite (leading minor {info}); "
                         "the features are too large against lambda_reg")
@@ -135,7 +127,9 @@ def ridge_fit(dataset: InteractionDataset, lambda_reg: float) -> RidgeEstimate:
     theta, info = dpotrs(factor, rhs, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"Cholesky solve failed (LAPACK info {info})")
-    return RidgeEstimate(theta_hat=theta, sigma_prime_n=cov, n_samples=n)
+    gram.setflags(write=False)
+    theta.setflags(write=False)
+    return RidgeEstimate(theta_hat=theta, sigma_prime_n=gram, n_samples=n)
 
 
 def greedy_action(estimate: RidgeEstimate, context: Context) -> int:
@@ -267,7 +261,7 @@ def evaluate(estimate: RidgeEstimate, instance: BanditInstance,
     gaps = np.empty(n)
     values = np.empty(n)
     uncertainties = np.empty(n)
-    chol = estimate.sigma_prime_n.factor()
+    chol = np.linalg.cholesky(estimate.sigma_prime_n)
     for position, feats, true, best, live in blocks:
         # A stacked product scores each (A, d) matrix on its own, bit for bit
         # like one context at a time; a flattened (g*A, d) product does not.

@@ -137,28 +137,32 @@ def dataset_to_csv(dataset: InteractionDataset, path) -> None:
 def dataset_from_csv(path) -> InteractionDataset:
     """Read the interchange CSV. A row that does not parse (wrong field count,
     a feature or reward that is not a number, an action index that is not a
-    nonnegative integer) raises DataError naming its line."""
+    nonnegative integer) raises DataError naming its line, and a file that is
+    not UTF-8 text one naming the file."""
     path = Path(path)
     ids, actions, features, rewards = [], [], [], []
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or len(header) < 3 or header[0] != "context_id":
-            raise DataError(f"{path} is not an interaction dataset CSV")
-        d = len(header) - 3
-        for row in reader:
-            where = f"{path} line {reader.line_num}"
-            if len(row) != len(header):
-                raise DataError(f"{where}: row with {len(row)} fields, expected {len(header)}")
-            try:
-                actions.append(int(row[1]))
-                features.append(np.array([float(v) for v in row[2:-1]]))
-                rewards.append(float(row[-1]))
-            except ValueError as exc:
-                raise DataError(f"{where}: {exc}") from None
-            if actions[-1] < 0:
-                raise DataError(f"{where}: negative action index {actions[-1]}")
-            ids.append(row[0])
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None or len(header) < 3 or header[0] != "context_id":
+                raise DataError(f"{path} is not an interaction dataset CSV")
+            d = len(header) - 3
+            for row in reader:
+                where = f"{path} line {reader.line_num}"
+                if len(row) != len(header):
+                    raise DataError(f"{where}: row with {len(row)} fields, expected {len(header)}")
+                try:
+                    actions.append(int(row[1]))
+                    features.append(np.array([float(v) for v in row[2:-1]]))
+                    rewards.append(float(row[-1]))
+                except ValueError as exc:
+                    raise DataError(f"{where}: {exc}") from None
+                if actions[-1] < 0:
+                    raise DataError(f"{where}: negative action index {actions[-1]}")
+                ids.append(row[0])
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
     return InteractionDataset(d, ids, actions, np.array(features).reshape(len(ids), d), rewards)
 
 

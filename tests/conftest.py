@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixplan import Context, InteractionDataset
+from mixplan import Context, CovarianceSnapshot, InteractionDataset
 
 
 @pytest.fixture
@@ -11,6 +11,13 @@ def rng():
 
 def make_context(rows, context_id="ctx"):
     return Context(context_id, np.asarray(rows, dtype=np.float64))
+
+
+def snapshot_of(matrix):
+    """A snapshot of the SPD ``matrix``: its ``np.linalg.cholesky`` factor and
+    log-determinant, as ``RegularizedCovariance.snapshot`` computes them."""
+    chol = np.linalg.cholesky(np.asarray(matrix, dtype=np.float64))
+    return CovarianceSnapshot(chol, 2.0 * float(np.sum(np.log(np.diag(chol)))))
 
 
 def make_dataset(d, records):

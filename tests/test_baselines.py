@@ -97,7 +97,7 @@ def test_supervised_oracle_equals_ridge_on_exploded_dataset(rng, action_counts, 
         estimate = ridge_fit(dataset[:ends[n - 1]], 0.5)
         direct = ridge_fit(make_dataset(3, records[: sum(action_counts[:n])]), 0.5)
         assert np.array_equal(estimate.theta_hat, direct.theta_hat)
-        assert estimate.sigma_prime_n.matrix.tobytes() == direct.sigma_prime_n.matrix.tobytes()
+        assert estimate.sigma_prime_n.tobytes() == direct.sigma_prime_n.tobytes()
 
 
 def test_full_feedback_reads_a_ranking_instance_labels(tmp_path):

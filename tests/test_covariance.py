@@ -11,6 +11,8 @@ from mixplan import ConfigurationError, Context, ContractViolation, RegularizedC
 from mixplan import covariance as covariance_module
 from mixplan.covariance import GROWTH_SLACK, _context_blocks, _mahalanobis_rows
 
+from conftest import snapshot_of
+
 
 def _random_unit_vectors(rng, count, d):
     vecs = rng.normal(size=(count, d))
@@ -104,8 +106,8 @@ def test_mahalanobis_identity():
 
 
 def test_mahalanobis_diagonal():
-    cov = RegularizedCovariance.from_state(np.diag([4.0, 1.0]), lambda_reg=1.0)
-    assert cov.mahalanobis(np.array([2.0, 0.0])) == pytest.approx(1.0, rel=1e-12)
+    snap = snapshot_of(np.diag([4.0, 1.0]))
+    assert snap.mahalanobis(np.array([2.0, 0.0])) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_mahalanobis_matches_dense_solve_oracle():
@@ -113,10 +115,10 @@ def test_mahalanobis_matches_dense_solve_oracle():
     for _ in range(10):
         base = rng.normal(size=(6, 6))
         spd = base @ base.T + 6 * np.eye(6)
-        cov = RegularizedCovariance.from_state(spd, lambda_reg=1.0)
+        snap = snapshot_of(spd)
         x = rng.normal(size=6)
         oracle = math.sqrt(float(x @ np.linalg.solve(spd, x)))
-        assert cov.mahalanobis(x) == pytest.approx(oracle, rel=1e-10)
+        assert snap.mahalanobis(x) == pytest.approx(oracle, rel=1e-10)
 
 
 def test_mahalanobis_bounded_by_euclidean_over_sqrt_lambda():
@@ -212,7 +214,7 @@ def test_snapshot_matrices_are_immutable():
 
 def test_snapshot_from_matrix_round_trip():
     spd = np.array([[2.0, 0.5], [0.5, 1.0]])
-    snap = RegularizedCovariance.from_state(spd, lambda_reg=0.5).snapshot()
+    snap = snapshot_of(spd)
     assert np.allclose(snap.factor @ snap.factor.T, spd, rtol=1e-12, atol=0.0)
     assert math.exp(snap.log_det) == pytest.approx(np.linalg.det(spd), rel=1e-12)
     x = np.array([0.3, -0.7])

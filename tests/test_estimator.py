@@ -23,15 +23,19 @@ from mixplan import (
     Context,
     ContextLaw,
     EvaluationReport,
+    ExperimentConfig,
     RidgeEstimate,
     evaluate,
+    full_feedback,
     greedy_action,
     make_synthetic,
+    plan,
     ridge_fit,
+    sample,
 )
 from mixplan.estimator import EvaluationSet
 
-from conftest import make_context, make_dataset, unit_ball_contexts
+from conftest import make_context, make_dataset, snapshot_of, unit_ball_contexts
 
 
 def _dataset(features, rewards):
@@ -55,7 +59,28 @@ def test_ridge_fit_empty_dataset_is_zero():
     estimate = ridge_fit(InteractionDataset(3), 1.0)
     assert np.array_equal(estimate.theta_hat, np.zeros(3))
     assert estimate.n_samples == 0
-    assert np.array_equal(estimate.sigma_prime_n.matrix, np.eye(3))
+    assert np.array_equal(estimate.sigma_prime_n, np.eye(3))
+
+
+@pytest.mark.parametrize("collection", ["sample", "full_feedback"])
+def test_ridge_fit_returns_its_gram_matrix_read_only(collection):
+    # Sigma'_N is lambda I + X^T X as computed, with no symmetrizing pass,
+    # on prefixes of a sampled and of an exploded full-feedback dataset.
+    instance, rng, lam = make_synthetic(5), np.random.default_rng(23), 0.7
+    if collection == "sample":
+        policy, _ = plan(instance.draw_contexts(rng, 40), ExperimentConfig(M=40, N=40),
+                         norm_cap=None)
+        dataset = sample(policy, instance, 40, rng)
+    else:
+        dataset, _ = full_feedback(instance, 12, rng)
+    for n in (0, 1, 7, len(dataset) // 2, len(dataset)):
+        estimate = ridge_fit(dataset[:n], lam)
+        features = dataset[:n].feature_matrix()
+        expected = lam * np.eye(dataset.d) + features.T @ features
+        assert isinstance(estimate.sigma_prime_n, np.ndarray)
+        assert estimate.sigma_prime_n.tobytes() == expected.tobytes()
+        assert not estimate.sigma_prime_n.flags.writeable
+        assert not estimate.theta_hat.flags.writeable
 
 
 def test_ridge_fit_single_record():
@@ -202,13 +227,13 @@ def test_prediction_error_sandwich(rng):
     # |phi (theta* - theta_hat)| <= ||phi||_{Sigma^-1} ||theta*-theta_hat||_Sigma
     dataset, theta_star = _random_dataset(rng, 80, 5, noise=1.0)
     estimate = ridge_fit(dataset, 1.0)
-    sigma = estimate.sigma_prime_n.matrix
+    sigma = estimate.sigma_prime_n
     err = theta_star - estimate.theta_hat
     err_norm = math.sqrt(float(err @ sigma @ err))
     for _ in range(50):
         phi = rng.normal(size=5)
         lhs = abs(float(phi @ err))
-        rhs = estimate.sigma_prime_n.mahalanobis(phi) * err_norm
+        rhs = math.sqrt(float(phi @ np.linalg.solve(sigma, phi))) * err_norm
         assert lhs <= rhs + 1e-10
 
 
@@ -258,12 +283,13 @@ def _reference_report(estimate, contexts, true_values):
     the context and one mahalanobis_rows call on its feature rows."""
     n = len(contexts)
     gaps, values, uncertainties = np.empty(n), np.empty(n), np.empty(n)
+    snap = snapshot_of(estimate.sigma_prime_n)
     for i, context in enumerate(contexts):
         true_scores = true_values[i]
         chosen = greedy_action(estimate, context)
         values[i] = true_scores[chosen]
         gaps[i] = float(true_scores.max()) - values[i]
-        uncertainties[i] = float(estimate.sigma_prime_n.mahalanobis_rows(context.features).max())
+        uncertainties[i] = float(snap.mahalanobis_rows(context.features).max())
     scale = math.sqrt(n) if n > 1 else 1.0
     return EvaluationReport(
         expected_max_uncertainty=float(uncertainties.mean()),
@@ -402,10 +428,10 @@ def live_row_mismatches(name) -> list:
                 mismatches += [f"{kind}/{k}/{field}"
                                for field in EvaluationReport.__dataclass_fields__
                                if getattr(report, field) != getattr(expected, field)]
-            cov = estimate.sigma_prime_n
+            snap = snapshot_of(estimate.sigma_prime_n)
             for b, block in enumerate(linear_set.blocks):
-                norms = covariance_module._block_norms(cov.factor(), block.features, block.live)
-                one_at_a_time = np.stack([cov.mahalanobis_rows(rows) for rows in block.features])
+                norms = covariance_module._block_norms(snap.factor, block.features, block.live)
+                one_at_a_time = np.stack([snap.mahalanobis_rows(rows) for rows in block.features])
                 if norms.tobytes() != one_at_a_time.tobytes():
                     mismatches.append(f"norms/{k}/block {b}")
     return mismatches
@@ -540,5 +566,5 @@ def test_prefix_slice_fit_equals_ridge_fit_on_prefix_dataset(d, total, data):
     sliced = ridge_fit(dataset[:n], 0.5)
     direct = ridge_fit(make_dataset(d, list(dataset)[:n]), 0.5)
     assert sliced.theta_hat.tobytes() == direct.theta_hat.tobytes()
-    assert sliced.sigma_prime_n.matrix.tobytes() == direct.sigma_prime_n.matrix.tobytes()
+    assert sliced.sigma_prime_n.tobytes() == direct.sigma_prime_n.tobytes()
     assert sliced.n_samples == direct.n_samples == n

@@ -11,10 +11,16 @@ import pytest
 
 from mixplan import (
     ConfigurationError,
+    EvaluationReport,
     MixturePolicy,
     RunConfig,
+    dataset_from_csv,
+    dataset_to_npz,
     emit_action_histogram,
+    evaluate,
+    make_hard_uniform,
     make_synthetic,
+    ridge_fit,
     run_experiment,
     sample,
 )
@@ -385,6 +391,28 @@ def test_cli_simulated_pipeline(tmp_path, capsys):
     assert hist_path.exists()
 
 
+def test_cli_fit_then_eval_reports_what_evaluate_gives_in_memory(tmp_path):
+    policy_path, dataset_path = tmp_path / "policy.npz", tmp_path / "dataset.csv"
+    estimate_path, report_path = tmp_path / "estimate.npz", tmp_path / "report.json"
+    env = ["--env", "hard_uniform", "--actions", "6"]
+    assert cli_main(["plan", *env, "--M", "120", "--seed", "1", "--out", str(policy_path)]) == 0
+    assert cli_main(["sample", *env, "--policy", str(policy_path), "--N", "90", "--seed", "2",
+                     "--out", str(dataset_path)]) == 0
+    assert cli_main(["fit", "--dataset", str(dataset_path), "--lambda-reg", "0.5",
+                     "--out", str(estimate_path)]) == 0
+    assert cli_main(["eval", *env, "--estimate", str(estimate_path), "--n-eval", "40",
+                     "--seed", "3", "--out", str(report_path)]) == 0
+    # eval draws its contexts from the seed's third stream (spawn key 2).
+    contexts = make_hard_uniform(6).draw_contexts(
+        np.random.default_rng(np.random.SeedSequence(3, spawn_key=(2,))), 40)
+    expected = evaluate(ridge_fit(dataset_from_csv(dataset_path), 0.5), make_hard_uniform(6),
+                        contexts)
+    written = json.loads(report_path.read_text())
+    for field in EvaluationReport.__dataclass_fields__:
+        assert written[field] == getattr(expected, field), field
+    assert written["config"] == {"env": "hard_uniform", "seed": 3, "n_eval": 40}
+
+
 def test_cli_plan_and_run_experiment_share_the_alpha_default(tmp_path):
     # N > M: both entry points discount offline updates by min(1, N/M) = 1.
     policy_path = tmp_path / "policy.npz"
@@ -552,6 +580,75 @@ def test_cli_eval_rejects_sigma_not_positive_definite(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err and "positive definite" in err
     assert "Traceback" not in err
+
+
+def _skew_sigma():
+    # Positive definite and finite, but not symmetric: the fit never writes it.
+    sigma = 2.0 * np.eye(20)
+    sigma[0, 1] = 0.5
+    return sigma
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"theta_hat": np.array(["0.0"] * 20)}, "must be float arrays"),
+    ({"sigma": np.full((20, 20), "1.0")}, "must be float arrays"),
+    ({"theta_hat": np.zeros(20, dtype=bool)}, "must be float arrays"),
+    ({"sigma": _skew_sigma()}, "sigma is not symmetric"),
+    ({"n_samples": np.array(-4)}, "n_samples is negative"),
+], ids=["string-theta", "string-sigma", "bool-theta", "asymmetric-sigma", "negative-n-samples"])
+def test_cli_eval_refuses_an_estimate_it_cannot_use_as_stored(tmp_path, capsys, entries, message):
+    arrays = {"theta_hat": np.zeros(20), "sigma": np.eye(20), "lambda_reg": np.array(1.0),
+              "n_samples": np.array(0)}
+    arrays.update(entries)
+    estimate_path = tmp_path / "estimate.npz"
+    write_artifact(estimate_path, "ridge-estimate", 2, **arrays)
+    assert cli_main(["eval", "--env", "synthetic", "--estimate", str(estimate_path),
+                     "--n-eval", "5", "--out", str(tmp_path / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def _binary_dataset(tmp_path):
+    """The npz that ``sample --binary`` writes, given to a command that reads text."""
+    path = tmp_path / "dataset.npz"
+    dataset_to_npz(sample(RandomPolicy(), make_hard_uniform(4), 5, np.random.default_rng(0)), path)
+    return path
+
+
+def _latin1_csv(tmp_path):
+    path = tmp_path / "dataset.csv"
+    path.write_bytes(b"context_id,action_index,f0,f1,reward\nc0,0,1.0,0.0,\xff\n")
+    return path
+
+
+def _binary_file(tmp_path):
+    path = tmp_path / "binary.bin"
+    path.write_bytes(b"1 qid:1 1:0.5\n\x00\xff\xfe\x80\n")
+    return path
+
+
+@pytest.mark.parametrize("make_input, command", [
+    (_binary_dataset, ["fit", "--out", "{tmp}/e.npz", "--dataset"]),
+    (_latin1_csv, ["fit", "--out", "{tmp}/e.npz", "--dataset"]),
+    (_latin1_csv, ["histogram", "--out", "{tmp}/h.csv", "--dataset"]),
+    (_binary_file, ["run-experiment", "--out", "{tmp}/out", "--config"]),
+    (_binary_file, ["ingest-ltr", "--out", "{tmp}/s.json", "--path"]),
+    (_binary_file, ["plan", "--env", "rank_dataset", "--M", "5", "--out", "{tmp}/p.npz",
+                    "--data-path"]),
+], ids=["fit-npz", "fit-csv", "histogram-csv", "run-experiment-config", "ingest-ltr",
+        "plan-rank-dataset"])
+def test_cli_refuses_a_text_input_that_is_not_utf8(tmp_path, capsys, make_input, command):
+    path = make_input(tmp_path)
+    args = [arg.format(tmp=tmp_path) for arg in command] + [str(path)]
+    assert cli_main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and "utf-8" in err.lower()
+    assert "Traceback" not in err
+    if command[0] in ("ingest-ltr", "plan"):
+        assert "line 2" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
 @pytest.mark.parametrize("n_eval", ["2000", "5"])

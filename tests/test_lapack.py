@@ -73,7 +73,7 @@ def ridge_mismatch(d, n, lam, seed):
     rng = np.random.default_rng(seed)
     features, rewards = rng.normal(size=(n, d)), rng.normal(size=n)
     estimate = ridge_fit(InteractionDataset(d, [""] * n, np.zeros(n), features, rewards), lam)
-    expected = cho_solve(cho_factor(estimate.sigma_prime_n.matrix, lower=True),
+    expected = cho_solve(cho_factor(estimate.sigma_prime_n, lower=True),
                          features.T @ rewards)
     return estimate.theta_hat.tobytes() != expected.tobytes()
 

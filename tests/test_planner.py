@@ -30,7 +30,7 @@ from mixplan import covariance as covariance_module
 from mixplan import planner as planner_module
 from mixplan.core import action_counts, stack_contexts
 
-from conftest import make_context, unit_ball_contexts
+from conftest import make_context, snapshot_of, unit_ball_contexts
 
 
 def _config(M, lam=1.0, alpha=1.0, **kwargs):
@@ -311,12 +311,8 @@ def test_plan_norm_cap_enforced_by_default():
     assert policy.snapshot_count == 1
 
 
-def _snapshot_of(matrix):
-    return RegularizedCovariance.from_state(np.asarray(matrix, dtype=np.float64), 1.0).snapshot()
-
-
 def _single_phase_policy(matrix, M=10):
-    snap = _snapshot_of(matrix)
+    snap = snapshot_of(matrix)
     return MixturePolicy(
         snapshots=[snap], phase_starts=[1], lambda_reg=1.0, alpha=1.0,
         features=np.zeros((M, snap.d)),
@@ -340,7 +336,7 @@ def test_policy_action_phase_frequencies():
     # Two phases of lengths 30 and 70; the snapshots are rigged so the
     # chosen action reveals which phase was drawn.
     policy = MixturePolicy(
-        snapshots=[_snapshot_of(np.eye(2)), _snapshot_of(np.diag([10.0, 1.0]))],
+        snapshots=[snapshot_of(np.eye(2)), snapshot_of(np.diag([10.0, 1.0]))],
         phase_starts=[1, 31], lambda_reg=1.0, alpha=1.0, features=np.zeros((100, 2)),
     )
     context = make_context([[0.9, 0.0], [0.0, 0.5]])
@@ -359,7 +355,7 @@ def test_policy_dimension_check():
 
 
 def test_policy_invariant_validation():
-    snap = _snapshot_of(np.eye(2))
+    snap = snapshot_of(np.eye(2))
     features = np.zeros((10, 2))
     common = dict(lambda_reg=1.0, alpha=1.0)
     with pytest.raises(ConfigurationError):
