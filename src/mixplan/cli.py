@@ -24,27 +24,25 @@ from .core import (
 )
 from .environments import (
     RANK_MAX_ACTIONS,
+    RANK_NORM_CAP,
+    SIMULATED,
     SPLIT_FILES,
     RankDatasetSpec,
     generate_standin_file,
     ingest_rank_dataset,
-    make_hard_goptimal,
-    make_hard_uniform,
     make_rank_instance,
-    make_synthetic,
 )
 from .estimator import RidgeEstimate, evaluate, ridge_fit
 from .harness import RunConfig, emit_action_histogram, run_experiment
 from .planner import MixturePolicy, plan
 from .sampler import dataset_from_csv, dataset_to_csv, dataset_to_npz, sample
 
-_SIMULATED = ("synthetic", "hard_uniform", "hard_goptimal")
-
 
 def _add_env_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--env", required=True,
-                        choices=_SIMULATED + ("rank_dataset",))
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--env", required=True, choices=(*SIMULATED, "rank_dataset"))
+    parser.add_argument("--seed", type=int, default=0,
+                        help="give every stage the same seed: on synthetic it also draws "
+                             "theta*, on rank_dataset the coordinate subsample and split")
     parser.add_argument("--actions", type=int, default=10,
                         help="action count for hard_uniform")
     parser.add_argument("--k", type=int, default=3, help="context count for hard_goptimal")
@@ -55,12 +53,9 @@ def _add_env_flags(parser: argparse.ArgumentParser) -> None:
 
 def _build_env(args):
     """Returns (instance, offline_context_pool, norm_cap)."""
-    if args.env == "synthetic":
-        return make_synthetic(args.seed), None, None
-    if args.env == "hard_uniform":
-        return make_hard_uniform(args.actions), None, 1.0
-    if args.env == "hard_goptimal":
-        return make_hard_goptimal(args.k), None, 1.0
+    if args.env in SIMULATED:
+        build, norm_cap = SIMULATED[args.env]
+        return build(args.seed, args.actions, args.k), None, norm_cap
     if not args.data_path:
         raise ConfigurationError("--data-path is required for rank_dataset")
     spec = RankDatasetSpec(raw_dim=args.raw_dim, subsampled_dim=args.subsampled_dim)
@@ -70,7 +65,7 @@ def _build_env(args):
         ingest.train,
         order=np.random.default_rng(args.seed).permutation(len(ingest.train)),
     )
-    return instance, [rc.context for rc in pool], 1.0
+    return instance, [rc.context for rc in pool], RANK_NORM_CAP
 
 
 def _cmd_plan(args) -> int:

@@ -6,7 +6,8 @@ defeat uniform and context-ignoring exploration, and the sparse
 ``label qid:<id> idx:val ...`` ranking-file pipeline (parser, coordinate
 subsampling, norm capping, deterministic splits) together with a stand-in
 generator that emits files in the same format, so the full pipeline is
-testable without the licensed dataset.
+testable without the licensed dataset. ``SIMULATED`` names the simulated
+environments of the CLI and the harness.
 
 Ranking files are read into columns (``RankFile``); feature indices are
 1-based on disk (the usual sparse convention) and 0-based in memory, and a
@@ -242,6 +243,17 @@ def make_random_unit_instance(d: int, n_actions: int, seed: int = 0) -> BanditIn
 
     law = ContextLaw(draw=draw, build=build, n_actions=lambda draw: n_actions)
     return BanditInstance(d=d, theta_star=theta, context_law=law, noise_std=1.0)
+
+
+#: The simulated environments of the CLI and the harness, by name: how a
+#: run's (seed, n_actions, k) builds the instance, and the norm cap its
+#: planner runs under (the synthetic spikes are unbounded). Each factory is
+#: looked up when called, so a rebound module attribute is the one called.
+SIMULATED = {
+    "synthetic": (lambda seed, n_actions, k: make_synthetic(seed), None),
+    "hard_uniform": (lambda seed, n_actions, k: make_hard_uniform(n_actions), 1.0),
+    "hard_goptimal": (lambda seed, n_actions, k: make_hard_goptimal(k), 1.0),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,23 @@
 """Reproducible experiment driver.
 
 Runs multi-seed trials of one (environment, algorithm) pair and emits
-metric rows plus a summary with mean and standard error across trials.
-A trial generates or ingests the environment, plans the collection policy
-on an independent offline context stream, collects all of its online data
-into one dataset with one ``sample`` call, and then, at every evaluation
-point n, ridge-fits the dataset's first n steps (``dataset[:n]``, views of
-its columns) and evaluates the extracted greedy policy. The held-out
-contexts and their true values are stacked into an
-``estimator.EvaluationSet`` (the trial keeps only the set), so each
-evaluation point only scores and solves: once per trial for simulated
-instances, and once per ingest for ranking data, whose cache keeps the set
-in place of the test split. The suboptimality gap is reported where the
-set holds theta_star's scores, not for recorded relevance labels. The
-supervised oracle collects with ``baselines.full_feedback`` instead, one
-exploded dataset of the reward of every action of each context, and its
-fit at point n takes the rows of the first n contexts.
+metric rows plus a summary with mean and standard error across trials. A
+trial's inputs come from one function, ``_prepare_trial_env``: a simulated
+environment is built, with its norm cap, from ``environments.SIMULATED``,
+and ranking data is ingested. The trial plans the collection policy on an
+independent offline context stream, collects all of its online data into
+one dataset with one ``sample`` call, and then, at every evaluation point
+n, ridge-fits the dataset's first n steps (``dataset[:n]``, views of its
+columns) and evaluates the extracted greedy policy. The held-out contexts
+and their true values are stacked into an ``estimator.EvaluationSet`` (the
+trial keeps only the set), so each evaluation point only scores and
+solves: once per trial for simulated instances, and once per ingest for
+ranking data, whose cache keeps the set in place of the test split. The
+suboptimality gap is reported where the set holds theta_star's scores, not
+for recorded relevance labels. The supervised oracle collects with
+``baselines.full_feedback`` instead, one exploded dataset of the reward of
+every action of each context, and its fit at point n takes the rows of the
+first n contexts.
 
 Each trial owns one master seed, split deterministically into environment,
 offline-stream, online-stream, policy, and evaluation streams. The online
@@ -64,22 +66,23 @@ from .core import (
 )
 from .estimator import EvaluationSet, evaluate, ridge_fit
 from .environments import (
+    RANK_NORM_CAP,
+    SIMULATED,
     SPLIT_FILES,
     RankDatasetSpec,
     generate_standin_file,
     ingest_rank_dataset,
-    make_hard_goptimal,
-    make_hard_uniform,
     make_rank_instance,
-    make_synthetic,
 )
 from .planner import plan
 from .sampler import _float_repr, sample
 
 logger = logging.getLogger(__name__)
 
-ENVIRONMENTS = ("synthetic", "hard_uniform", "hard_goptimal", "rank_dataset", "stand_in")
-ALGORITHMS = ("planner_sampler", "random", "largest_norm", "single_action", "supervised_oracle")
+ENVIRONMENTS = (*SIMULATED, "rank_dataset", "stand_in")
+_BASELINES = {"random": RandomPolicy, "largest_norm": LargestNormPolicy,
+              "single_action": SingleActionPolicy}
+ALGORITHMS = ("planner_sampler", *_BASELINES, "supervised_oracle")
 
 
 @dataclass(frozen=True)
@@ -173,64 +176,47 @@ class _TrialEnv:
     eval_set: EvaluationSet
 
 
-def _linear_env(instance: BanditInstance, config: RunConfig, seeds) -> _TrialEnv:
-    _, s_offline, _, _, s_eval = seeds
-    offline_rng = np.random.default_rng(s_offline)
-    eval_rng = np.random.default_rng(s_eval)
-    offline_contexts = instance.draw_contexts(offline_rng, config.M)
-    eval_set = EvaluationSet(instance.draw_contexts(eval_rng, config.eval_set_size),
-                             theta_star=instance.theta_star)
-
-    norm_cap = None if config.environment == "synthetic" else 1.0
-    return _TrialEnv(
-        instance=instance,
-        offline_contexts=offline_contexts,
-        horizon=config.N,
-        norm_cap=norm_cap,
-        eval_set=eval_set,
-    )
-
-
-def _rank_env(rank_data, config: RunConfig, seeds) -> _TrialEnv:
-    _, s_offline, s_stream, _, _ = seeds
-    train, offline_pool, eval_set = rank_data
-
-    horizon = min(config.N, len(train))
-    if horizon < config.N:
-        logger.info("rank horizon capped at %d distinct contexts", horizon)
-
-    offline_rng = np.random.default_rng(s_offline)
-    offline_order = offline_rng.permutation(len(offline_pool))
-    m_eff = min(config.M, len(offline_pool))
-    if m_eff < config.M:
-        logger.info("rank offline contexts capped at %d, the size of the offline pool", m_eff)
-    offline_contexts = [offline_pool[int(i)].context for i in offline_order[:m_eff]]
-
-    online_order = np.random.default_rng(s_stream).permutation(len(train))[:horizon]
-    instance = make_rank_instance(train, order=online_order)
-    return _TrialEnv(
-        instance=instance,
-        offline_contexts=offline_contexts,
-        horizon=horizon,
-        norm_cap=1.0,
-        eval_set=eval_set,
-    )
-
-
 def _trial_seeds(config: RunConfig, trial: int) -> list:
     """The trial's environment, offline, stream, policy and evaluation seeds."""
     return np.random.SeedSequence(entropy=config.seed, spawn_key=(trial,)).spawn(5)
 
 
 def _prepare_trial_env(config: RunConfig, seeds) -> _TrialEnv:
-    if config.environment == "synthetic":
-        return _linear_env(make_synthetic(seed=config.seed), config, seeds)
-    if config.environment == "hard_uniform":
-        return _linear_env(make_hard_uniform(config.n_actions), config, seeds)
-    if config.environment == "hard_goptimal":
-        return _linear_env(make_hard_goptimal(config.k), config, seeds)
+    """The trial's instance, offline contexts, horizon, norm cap and
+    evaluation set. A simulated instance comes from ``SIMULATED`` and draws
+    its offline and evaluation contexts from their own streams; ranking data
+    (``_cached_ingest``) gives the first M of a permutation of its offline
+    pool and streams the first N of a permutation of its train split, both
+    capped at what the data holds."""
+    _, s_offline, s_stream, _, s_eval = seeds
+    offline_rng = np.random.default_rng(s_offline)
+    if config.environment in SIMULATED:
+        build, norm_cap = SIMULATED[config.environment]
+        instance = build(config.seed, config.n_actions, config.k)
+        offline_contexts = instance.draw_contexts(offline_rng, config.M)
+        eval_set = EvaluationSet(
+            instance.draw_contexts(np.random.default_rng(s_eval), config.eval_set_size),
+            theta_star=instance.theta_star)
+        return _TrialEnv(instance=instance, offline_contexts=offline_contexts,
+                         horizon=config.N, norm_cap=norm_cap, eval_set=eval_set)
+
     spec = RankDatasetSpec(raw_dim=config.rank_raw_dim, subsampled_dim=config.rank_subsampled_dim)
-    return _rank_env(_cached_ingest(config.data_path, spec, config.seed), config, seeds)
+    train, offline_pool, eval_set = _cached_ingest(config.data_path, spec, config.seed)
+    horizon = min(config.N, len(train))
+    if horizon < config.N:
+        logger.info("rank horizon capped at %d distinct contexts", horizon)
+    m_eff = min(config.M, len(offline_pool))
+    if m_eff < config.M:
+        logger.info("rank offline contexts capped at %d, the size of the offline pool", m_eff)
+    offline_order = offline_rng.permutation(len(offline_pool))[:m_eff]
+    online_order = np.random.default_rng(s_stream).permutation(len(train))[:horizon]
+    return _TrialEnv(
+        instance=make_rank_instance(train, order=online_order),
+        offline_contexts=[offline_pool[int(i)].context for i in offline_order],
+        horizon=horizon,
+        norm_cap=RANK_NORM_CAP,
+        eval_set=eval_set,
+    )
 
 
 _INGEST_CACHE: dict = {}
@@ -272,12 +258,8 @@ def _collection_policy(config: RunConfig, env: _TrialEnv):
         )
         policy, _ = plan(env.offline_contexts, exp, norm_cap=env.norm_cap)
         return policy
-    if config.algorithm == "random":
-        return RandomPolicy()
-    if config.algorithm == "largest_norm":
-        return LargestNormPolicy()
-    if config.algorithm == "single_action":
-        return SingleActionPolicy()
+    if config.algorithm in _BASELINES:
+        return _BASELINES[config.algorithm]()
     return None  # supervised_oracle has no collection policy
 
 

@@ -209,8 +209,6 @@ class MixturePolicy:
         group's actions, bit for bit as ``snapshot_action`` per context.
         """
         phases = np.searchsorted(self.phase_starts, draws, side="right") - 1
-        if len(contexts) == 1:
-            return _greedy_block(self.snapshots[phases[0]], contexts)[0]
         order = np.argsort(phases, kind="stable")
         actions = np.empty(len(contexts), dtype=np.int64)
         for steps in np.split(order, np.flatnonzero(np.diff(phases[order])) + 1):

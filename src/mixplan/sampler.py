@@ -113,7 +113,8 @@ def _float_repr(value: float) -> str:
 def dataset_to_csv(dataset: InteractionDataset, path) -> None:
     """Write the interchange CSV: context_id, action_index, d feature columns, reward.
 
-    The bytes are those of ``csv.writer`` with its default dialect: a float
+    The bytes are the UTF-8 text of ``csv.writer`` with its default
+    dialect, whatever the locale, as ``dataset_from_csv`` reads it: a float
     is written as its repr, the text ``_float_repr`` gives, and every line
     ends in CR LF. Each row's context id and action index go through one
     reused ``csv.writer``, which quotes the id where it must; the float
@@ -124,7 +125,7 @@ def dataset_to_csv(dataset: InteractionDataset, path) -> None:
     floats = np.column_stack([dataset.feature_matrix(), dataset.rewards()]).tolist()
     prefix = io.StringIO()
     prefix_writer = csv.writer(prefix)
-    with path.open("w", newline="") as handle:
+    with path.open("w", encoding="utf-8", newline="") as handle:
         csv.writer(handle).writerow(header)
         for context_id, a, row in zip(dataset.context_ids, dataset.actions.tolist(), floats):
             prefix.seek(0)
